@@ -1,7 +1,7 @@
-// P7 — sharded fleet throughput: what partitioning the PollScheduler's
-// fleet across worker threads buys. Pumps scripted fleets of 512..4096
-// sessions for a fixed simulated span at 1/2/4/8 threads and reports
-// sessions per wall-second, a mid-pump fairness snapshot (min/max
+// P7 — sharded fleet throughput: what partitioning the fleet pump across
+// worker threads buys. Pumps scripted fleets of 512..4096 sessions for a
+// fixed simulated span at 1/2/4/8 threads and reports sessions per
+// wall-second, a mid-pump fairness snapshot (min/max
 // simulated time any session has consumed when the first one crosses
 // the halfway mark — a starving fleet shows a wide spread), and steal
 // counts; then the end-to-end campaign rate at 1 and 4 threads against

@@ -16,6 +16,7 @@
 #include "core/bindings.hpp"
 #include "link/commands.hpp"
 #include "meta/model.hpp"
+#include "obs/ring.hpp"
 #include "rt/des.hpp"
 
 namespace gmdf::core {
@@ -111,37 +112,22 @@ public:
 /// entries are evicted and counted.
 class DivergenceLog final : public EngineObserver {
 public:
-    void on_divergence(const Divergence& d) override {
-        if (capacity_ != 0 && divergences_.size() >= capacity_) {
-            divergences_.pop_front();
-            ++dropped_;
-        }
-        divergences_.push_back(d);
-    }
+    void on_divergence(const Divergence& d) override { divergences_.push(d); }
 
     [[nodiscard]] const std::deque<Divergence>& divergences() const {
-        return divergences_;
+        return divergences_.items();
     }
     [[nodiscard]] bool empty() const { return divergences_.empty(); }
     [[nodiscard]] std::size_t size() const { return divergences_.size(); }
-    void clear() {
-        divergences_.clear();
-        dropped_ = 0;
-    }
+    void clear() { divergences_.clear(); }
 
     /// Ring capacity in entries; 0 records unbounded. Shrinking below
     /// the current size evicts the oldest entries.
-    void set_capacity(std::size_t capacity) {
-        capacity_ = capacity;
-        while (capacity_ != 0 && divergences_.size() > capacity_) {
-            divergences_.pop_front();
-            ++dropped_;
-        }
-    }
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
+    void set_capacity(std::size_t capacity) { divergences_.set_capacity(capacity); }
+    [[nodiscard]] std::size_t capacity() const { return divergences_.capacity(); }
 
     /// Entries evicted because the ring was full (since the last clear).
-    [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+    [[nodiscard]] std::uint64_t dropped() const { return divergences_.dropped(); }
 
     /// Drops divergences after simulated time `t` (rewind discards the
     /// abandoned future; entries are appended in time order). Eviction
@@ -152,9 +138,7 @@ public:
     }
 
 private:
-    std::deque<Divergence> divergences_;
-    std::size_t capacity_ = 4096; ///< generous for any real fault hunt
-    std::uint64_t dropped_ = 0;
+    obs::Ring<Divergence> divergences_{4096}; ///< generous for any real fault hunt
 };
 
 } // namespace gmdf::core

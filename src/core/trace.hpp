@@ -12,6 +12,7 @@
 #include "core/observer.hpp"
 #include "link/commands.hpp"
 #include "meta/model.hpp"
+#include "obs/ring.hpp"
 #include "render/timing.hpp"
 #include "render/vcd.hpp"
 #include "rt/des.hpp"
@@ -34,14 +35,10 @@ public:
     void on_command(const link::Command& cmd, rt::SimTime t) override { record(cmd, t); }
 
     void record(const link::Command& cmd, rt::SimTime t) {
-        if (capacity_ != 0 && events_.size() >= capacity_) {
-            evict_front();
-        }
-        events_.push_back({t, cmd});
+        if (auto evicted = events_.push({t, cmd})) dropped_through_ = evicted->t;
     }
     void clear() {
         events_.clear();
-        dropped_ = 0;
         dropped_through_ = 0;
     }
 
@@ -55,15 +52,14 @@ public:
     /// Ring capacity in events; 0 (the default) records unbounded.
     /// Shrinking below the current size evicts the oldest events.
     void set_capacity(std::size_t capacity) {
-        capacity_ = capacity;
-        while (capacity_ != 0 && events_.size() > capacity_) {
-            evict_front();
-        }
+        if (capacity != 0 && events_.size() > capacity)
+            dropped_through_ = events_[events_.size() - capacity - 1].t;
+        events_.set_capacity(capacity);
     }
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
+    [[nodiscard]] std::size_t capacity() const { return events_.capacity(); }
 
     /// Events evicted because the ring was full (since the last clear()).
-    [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+    [[nodiscard]] std::uint64_t dropped() const { return events_.dropped(); }
 
     /// Timestamp of the newest evicted event: history at or before this
     /// time is gone from the ring. 0 when nothing was dropped.
@@ -76,7 +72,7 @@ public:
         return events_.front().t;
     }
 
-    [[nodiscard]] const std::deque<TraceEvent>& events() const { return events_; }
+    [[nodiscard]] const std::deque<TraceEvent>& events() const { return events_.items(); }
     [[nodiscard]] std::size_t size() const { return events_.size(); }
 
     /// Events of one kind, in order.
@@ -91,15 +87,7 @@ public:
     [[nodiscard]] std::string to_vcd(const meta::Model& design) const;
 
 private:
-    void evict_front() {
-        dropped_through_ = events_.front().t;
-        events_.pop_front();
-        ++dropped_;
-    }
-
-    std::deque<TraceEvent> events_;
-    std::size_t capacity_ = 0;
-    std::uint64_t dropped_ = 0;
+    obs::Ring<TraceEvent> events_;
     rt::SimTime dropped_through_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "hub/controller.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <string>
 
 #include "campaign/runner.hpp"
@@ -207,20 +206,14 @@ void HubController::collect_events(SessionRegistry::Entry& entry) {
             event_sink_(entry.id, entry.name, line);
             continue;
         }
-        if (event_capacity_ != 0 && event_lines_.size() >= event_capacity_) {
-            event_lines_.pop_front();
-            ++stats_.events_dropped;
-        }
-        event_lines_.push_back(std::move(line));
+        event_lines_.push(std::move(line));
     }
+    stats_.events_dropped = event_lines_.dropped();
 }
 
 std::vector<std::string> HubController::drain_event_lines() {
     std::lock_guard<std::mutex> lock(event_mu_);
-    std::vector<std::string> out(std::make_move_iterator(event_lines_.begin()),
-                                 std::make_move_iterator(event_lines_.end()));
-    event_lines_.clear();
-    return out;
+    return event_lines_.drain();
 }
 
 proto::Response HubController::hub_ok(std::vector<std::string> body) {

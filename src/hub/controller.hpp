@@ -1,6 +1,6 @@
 // HubController: the protocol face of a multi-session debug hub.
 //
-// Wraps a SessionRegistry and a PollScheduler behind the same
+// Wraps a SessionRegistry and a ShardedScheduler behind the same
 // line-oriented protocol a single SessionController speaks, adding
 // session addressing on top:
 //
@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -51,6 +50,7 @@
 
 #include "hub/registry.hpp"
 #include "hub/sharded.hpp"
+#include "obs/ring.hpp"
 #include "proto/dispatcher.hpp"
 #include "proto/script.hpp"
 
@@ -103,11 +103,11 @@ public:
     /// multi-session tag latch) — go through open()/adopt() instead.
     [[nodiscard]] const SessionRegistry& registry() const { return registry_; }
 
-    /// The fleet pump. threads=1 (default) keeps the single-threaded
-    /// PollScheduler semantics and transcripts; set_threads(N) shards
-    /// the fleet across N workers (`session stats shards` reports the
-    /// split). Event collection is safe either way: the hub queue is a
-    /// mutex-guarded MPSC under a sharded pump.
+    /// The fleet pump. threads=1 (default) pumps round-robin on the
+    /// calling thread; set_threads(N) shards the fleet across N workers
+    /// (`session stats shards` reports the split) with the same
+    /// per-session transcripts. Event collection is safe either way: the
+    /// hub queue is a mutex-guarded MPSC under a sharded pump.
     [[nodiscard]] ShardedScheduler& scheduler() { return scheduler_; }
 
     /// Hosts a new session from a built-in scenario / an externally
@@ -167,8 +167,12 @@ public:
     /// Bounds the hub event queue (a client not draining must not grow
     /// memory without bound; the oldest lines are evicted and counted in
     /// stats().events_dropped). 0 is unbounded; defaults to 65536.
-    void set_event_capacity(std::size_t capacity) { event_capacity_ = capacity; }
-    [[nodiscard]] std::size_t event_capacity() const { return event_capacity_; }
+    void set_event_capacity(std::size_t capacity) {
+        std::lock_guard<std::mutex> lock(event_mu_);
+        event_lines_.set_capacity(capacity);
+        stats_.events_dropped = event_lines_.dropped();
+    }
+    [[nodiscard]] std::size_t event_capacity() const { return event_lines_.capacity(); }
 
     /// The hub-level verb registry (the `session` rows).
     [[nodiscard]] const proto::Dispatcher& dispatcher() const { return hub_dispatcher_; }
@@ -218,8 +222,7 @@ private:
     /// Guards the hub event queue, its drop counter, and the event
     /// sink call — the MPSC surface worker threads publish into.
     std::mutex event_mu_;
-    std::size_t event_capacity_ = 65536;
-    std::deque<std::string> event_lines_;
+    obs::Ring<std::string> event_lines_{65536};
     EventSink event_sink_;
     NetStatsProvider net_stats_provider_;
     /// Last `campaign run` result (for `campaign report`); null until

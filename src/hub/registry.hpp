@@ -6,7 +6,7 @@
 // target, DebugSession, SessionController) — hands out stable integer
 // ids, and aggregates per-session EngineStats into hub-level totals.
 // The protocol face (session open/close/list/use, @<id> routing) lives
-// in hub::HubController; the poll loop in hub::PollScheduler.
+// in hub::HubController; the fleet pump in hub::ShardedScheduler.
 #pragma once
 
 #include <cstdint>

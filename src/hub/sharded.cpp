@@ -2,24 +2,125 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
+#include "core/session.hpp"
 #include "obs/trace.hpp"
+#include "rt/target.hpp"
 
 namespace gmdf::hub {
+
+namespace {
+
+/// Advances one session's target by `slice` and polls its transports at
+/// the new clock — the unit of work the pump is built from. Touches only
+/// that session's state, so distinct sessions may be sliced concurrently.
+void pump_session_slice(SessionRegistry::Entry& entry, rt::SimTime slice) {
+    proto::Scenario& scenario = *entry.scenario;
+    scenario.target.run_for(slice);
+    rt::SimTime now = scenario.target.sim().now();
+    core::DebugSession& session = *scenario.session;
+    for (const auto& transport : session.transports())
+        transport->poll(session.engine(), now);
+}
+
+/// pump_session_slice under crash isolation: an exception transitions
+/// the session to Faulted (quarantining it from scheduling) instead of
+/// unwinding the pump, and a watchdog deadline overrun counts a strike
+/// — max_strikes consecutive ones quarantine the session as runaway.
+/// Returns false when the session faulted (the caller drops it from the
+/// round). The entry is exclusively held by the caller, so its health
+/// fields need no locking; `stats` is the caller's accumulator.
+///
+/// Every slice also feeds the obs layer: wall duration into the
+/// `hub.pump.slice_ns` histogram and, when the tracer is running, a
+/// "pump-slice" span on the shard's stable track `trace_tid`.
+bool pump_session_slice_guarded(SessionRegistry::Entry& entry, rt::SimTime slice,
+                                const WatchdogConfig& watchdog, WatchdogStats& stats,
+                                int trace_tid) {
+    using clock = std::chrono::steady_clock;
+    // One clock pair serves the watchdog deadline and the obs histogram;
+    // with both off the slice takes no timestamps at all.
+    const bool metrics_on = obs::metrics_enabled();
+    const bool timed = watchdog.enabled() || metrics_on;
+    const clock::time_point start = timed ? clock::now() : clock::time_point{};
+    {
+        obs::Span span("hub", "pump-slice", {}, trace_tid);
+        span.arg("session", entry.name);
+        try {
+            pump_session_slice(entry, slice);
+        } catch (const std::exception& e) {
+            entry.mark_faulted(e.what());
+            return false;
+        } catch (...) {
+            entry.mark_faulted("unknown exception during pump slice");
+            return false;
+        }
+    }
+    std::int64_t elapsed_ns = 0;
+    if (timed) {
+        elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
+                                                                          start)
+                         .count();
+        if (metrics_on)
+            pump_metrics().slice_ns->record(static_cast<std::uint64_t>(elapsed_ns));
+    }
+    if (watchdog.enabled()) {
+        const auto elapsed_us = elapsed_ns / 1000;
+        if (elapsed_us > watchdog.slice_limit_us) {
+            ++stats.overruns;
+            if (++entry.overrun_strikes >= watchdog.max_strikes) {
+                ++stats.runaways;
+                entry.runaway = true;
+                entry.mark_faulted(
+                    "watchdog: " + std::to_string(entry.overrun_strikes) +
+                    " consecutive slices over the " +
+                    std::to_string(watchdog.slice_limit_us) + " us deadline (last " +
+                    std::to_string(elapsed_us) + " us)");
+                return false;
+            }
+        } else {
+            entry.overrun_strikes = 0; // strikes are consecutive, not lifetime
+        }
+    }
+    return true;
+}
 
 /// One session's work for this pump. Exclusively owned by whichever
 /// worker popped it (handoff happens under a shard mutex, which orders
 /// the session state), so its fields need no atomics.
-struct ShardedScheduler::Item {
+struct Item {
     SessionRegistry::Entry* entry = nullptr;
     rt::SimTime remaining = 0;
     std::uint64_t slices = 0;
     rt::SimTime advanced = 0;
 };
+
+struct ShardQueue {
+    std::mutex mu;
+    std::deque<Item*> items;
+};
+
+/// Per-worker accumulators, merged into the scheduler's lifetime
+/// counters after the join (no shared writes during the pump).
+struct WorkerTally {
+    std::uint64_t slices = 0;
+    rt::SimTime advanced = 0;
+    std::uint64_t steals = 0;
+    std::uint64_t faulted = 0;
+    WatchdogStats watchdog;
+};
+
+} // namespace
+
+const PumpMetrics& pump_metrics() {
+    static const PumpMetrics metrics{&obs::registry().histogram("hub.pump.slice_ns")};
+    return metrics;
+}
 
 void ShardedScheduler::set_threads(int threads) {
     threads_ = std::clamp(threads, 1, 256);
@@ -34,99 +135,23 @@ void ShardedScheduler::set_budget(rt::SimTime budget) {
 void ShardedScheduler::pump(SessionRegistry& registry, rt::SimTime duration,
                             const SliceHook& after_slice) {
     if (duration <= 0) return;
-    // Faulted sessions are quarantined from the rotation; size the pool
-    // for the sessions that will actually be pumped.
-    int live = 0;
+    // Faulted sessions are quarantined from the rotation; only the live
+    // ones get work, and the pool is sized for them.
+    std::vector<Item> items;
+    items.reserve(registry.size());
     for (const auto& e : registry.entries())
-        if (!e->faulted()) ++live;
-    const int workers = std::min(threads_, live);
-    if (workers <= 1) {
-        pump_serial(registry, duration, after_slice);
-        return;
-    }
-    pump_parallel(registry, duration, after_slice, workers);
-}
+        if (!e->faulted()) items.push_back({e.get(), duration, 0, 0});
+    for (ShardStats& shard : shards_) shard.sessions = 0;
+    const int workers = std::min(threads_, static_cast<int>(items.size()));
+    if (workers == 0) return;
 
-void ShardedScheduler::pump_serial(SessionRegistry& registry, rt::SimTime duration,
-                                   const SliceHook& after_slice) {
-    // The PollScheduler loop, verbatim: round-robin in registry order,
-    // one budget slice per session per round. Single-session transcripts
-    // under any thread count are byte-identical to PollScheduler's.
-    std::map<int, rt::SimTime> remaining;
-    for (const auto& e : registry.entries())
-        if (!e->faulted()) remaining[e->id] = duration;
-
-    const bool has_hook = static_cast<bool>(after_slice);
-    ShardStats& shard = shards_.front();
-    shard.sessions = static_cast<int>(remaining.size());
-    WatchdogStats tally; // merged below so shard deltas are visible
-    if (obs::tracer().enabled())
-        obs::tracer().set_thread_name(obs::Tracer::kShardTidBase, "shard-0");
-
-    bool any = true;
-    while (any) {
-        any = false;
-        for (const auto& e : registry.entries()) {
-            auto it = remaining.find(e->id);
-            if (it == remaining.end() || it->second <= 0) continue;
-            rt::SimTime slice = std::min(budget_, it->second);
-            bool alive = pump_session_slice_guarded(*e, slice, watchdog_, tally,
-                                                    obs::Tracer::kShardTidBase);
-            it->second -= slice;
-            any = true;
-            SessionPumpStats& s = stats_[e->id];
-            ++s.slices;
-            s.advanced += slice;
-            ++total_slices_;
-            ++shard.slices;
-            shard.advanced += slice;
-            if (has_hook) after_slice(*e);
-            if (!alive) {
-                it->second = 0; // quarantined: out of this rotation too
-                ++shard.faulted;
-            }
-        }
-    }
-    shard.overruns += tally.overruns;
-    watchdog_stats_.overruns += tally.overruns;
-    watchdog_stats_.runaways += tally.runaways;
-}
-
-void ShardedScheduler::pump_parallel(SessionRegistry& registry, rt::SimTime duration,
-                                     const SliceHook& after_slice, int workers) {
-    struct ShardQueue {
-        std::mutex mu;
-        std::deque<Item*> items;
-    };
-    /// Per-worker accumulators, merged into the scheduler's lifetime
-    /// counters after the join (no shared writes during the pump).
-    struct WorkerTally {
-        std::uint64_t slices = 0;
-        rt::SimTime advanced = 0;
-        std::uint64_t steals = 0;
-        std::uint64_t faulted = 0;
-        WatchdogStats watchdog;
-    };
-
-    // Deal the live (non-faulted) fleet round-robin across the shards,
-    // in registry order.
-    std::vector<Item> items(registry.size());
+    // Deal the live fleet round-robin across the shards, in registry
+    // order (one shard: the whole fleet, in registry order).
     std::vector<ShardQueue> queues(static_cast<std::size_t>(workers));
-    {
-        std::size_t i = 0;
-        for (const auto& e : registry.entries()) {
-            if (e->faulted()) continue;
-            items[i] = {e.get(), duration, 0, 0};
-            queues[i % static_cast<std::size_t>(workers)].items.push_back(&items[i]);
-            ++i;
-        }
-        items.resize(i);
-    }
-    for (int w = 0; w < workers; ++w)
-        shards_[static_cast<std::size_t>(w)].sessions =
-            static_cast<int>(queues[static_cast<std::size_t>(w)].items.size());
-    for (std::size_t w = static_cast<std::size_t>(workers); w < shards_.size(); ++w)
-        shards_[w].sessions = 0;
+    for (std::size_t i = 0; i < items.size(); ++i)
+        queues[i % queues.size()].items.push_back(&items[i]);
+    for (std::size_t w = 0; w < queues.size(); ++w)
+        shards_[w].sessions = static_cast<int>(queues[w].items.size());
 
     // An item is (a) queued on exactly one shard, (b) exclusively held
     // by one worker, or (c) finished. in_flight counts (b); it is
@@ -137,6 +162,8 @@ void ShardedScheduler::pump_parallel(SessionRegistry& registry, rt::SimTime dura
     // either finishes them or re-queues them onto its own shard (which
     // it always drains before exiting), so no work is ever stranded.
     std::atomic<int> in_flight{0};
+    // Hoisted out of the slice loop: std::function's operator bool and
+    // the indirect call setup are not free at ~0.3 µs/slice.
     const bool has_hook = static_cast<bool>(after_slice);
     std::vector<WorkerTally> tallies(static_cast<std::size_t>(workers));
 
@@ -210,10 +237,11 @@ void ShardedScheduler::pump_parallel(SessionRegistry& registry, rt::SimTime dura
         }
     };
 
+    // The calling thread is shard 0's worker; one worker spawns nothing.
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers) - 1);
     for (int w = 1; w < workers; ++w) pool.emplace_back(work, w);
-    work(0); // the calling thread is shard 0's worker
+    work(0);
     for (std::thread& t : pool) t.join();
 
     // All workers joined: merge the per-item and per-worker counters
@@ -224,9 +252,9 @@ void ShardedScheduler::pump_parallel(SessionRegistry& registry, rt::SimTime dura
         s.advanced += item.advanced;
         total_slices_ += item.slices;
     }
-    for (int w = 0; w < workers; ++w) {
-        ShardStats& shard = shards_[static_cast<std::size_t>(w)];
-        const WorkerTally& tally = tallies[static_cast<std::size_t>(w)];
+    for (std::size_t w = 0; w < tallies.size(); ++w) {
+        ShardStats& shard = shards_[w];
+        const WorkerTally& tally = tallies[w];
         shard.slices += tally.slices;
         shard.advanced += tally.advanced;
         shard.steals += tally.steals;

@@ -224,7 +224,8 @@ void Server::accept_pending() {
         }
         set_nodelay(fd);
         auto conn =
-            std::make_unique<Connection>(config_.max_frame_payload, config_.max_line);
+            std::make_unique<Connection>(config_.max_frame_payload, config_.max_line,
+                                         config_.event_queue_capacity);
         conn->fd = fd;
         conn->id = next_conn_id_++;
         conn->last_activity = std::chrono::steady_clock::now();
@@ -445,14 +446,10 @@ void Server::fan_out_event(int session_id, std::string_view session_name,
     for (auto& conn : connections_) {
         if (conn->fd < 0 || conn->draining) continue;
         if (!conn->ctx.allows(session_id, session_name)) continue;
-        if (config_.event_queue_capacity != 0 &&
-            conn->pending_events.size() >= config_.event_queue_capacity) {
-            conn->pending_events.pop_front();
-            ++conn->events_dropped;
+        if (conn->pending_events.push(line)) {
             ++stats_.events_dropped;
             obs_.events_dropped.of(*conn).add();
         }
-        conn->pending_events.push_back(line);
     }
 }
 
@@ -593,8 +590,8 @@ std::vector<std::string> Server::stats_lines() const {
                        " requests=" + std::to_string(conn->requests) + " bytes-in=" +
                        std::to_string(conn->bytes_in) + " bytes-out=" +
                        std::to_string(conn->bytes_out) + " pending-events=" +
-                       std::to_string(conn->pending_events.size()) +
-                       " events-dropped=" + std::to_string(conn->events_dropped));
+                       std::to_string(conn->pending_events.size()) + " events-dropped=" +
+                       std::to_string(conn->pending_events.dropped()));
     }
     return body;
 }

@@ -31,7 +31,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "hub/controller.hpp"
 #include "net/codec.hpp"
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 
 namespace gmdf::net {
 
@@ -133,7 +133,7 @@ private:
         LineReader lines;
         std::string outbuf;
         std::size_t out_pos = 0;
-        std::deque<std::string> pending_events; ///< formatted lines awaiting flush
+        obs::Ring<std::string> pending_events; ///< formatted lines awaiting flush
         hub::RouteContext ctx;
         bool draining = false; ///< close once outbuf flushes
         bool shed = false;     ///< over the high-water mark: busy reply, then close
@@ -141,10 +141,11 @@ private:
         std::uint64_t bytes_in = 0;
         std::uint64_t bytes_out = 0;
         std::uint64_t requests = 0;
-        std::uint64_t events_dropped = 0;
 
-        Connection(std::size_t max_frame_payload, std::size_t max_line)
-            : frames(max_frame_payload), lines(max_line) {}
+        Connection(std::size_t max_frame_payload, std::size_t max_line,
+                   std::size_t event_queue_capacity)
+            : frames(max_frame_payload), lines(max_line),
+              pending_events(event_queue_capacity) {}
     };
 
     void accept_pending();

@@ -37,10 +37,9 @@ void Tracer::start() {
     // Quiesce recorders before clearing so a span racing stop()/start()
     // lands either in the old capture or the new one, never in a torn ring.
     enabled_.store(false, std::memory_order_relaxed);
-    for (Ring& ring : rings_) {
-        std::lock_guard<std::mutex> lock(ring.mu);
-        ring.events.clear();
-        ring.dropped = 0;
+    for (Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        shard.events.clear();
     }
     {
         std::lock_guard<std::mutex> lock(meta_mu_);
@@ -54,7 +53,11 @@ void Tracer::stop() { enabled_.store(false, std::memory_order_relaxed); }
 
 void Tracer::set_capacity(std::size_t events) {
     stop();
-    capacity_ = events == 0 ? 1 : events;
+    const std::size_t per_shard = std::max<std::size_t>(1, events / kShards);
+    for (Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        shard.events.set_capacity(per_shard);
+    }
 }
 
 std::uint64_t Tracer::now_ns() const {
@@ -67,15 +70,10 @@ std::uint64_t Tracer::now_ns() const {
 void Tracer::record(std::string name, const char* category, std::uint64_t begin_ns,
                     std::uint64_t duration_ns, int tid, std::string args_json) {
     if (!enabled()) return;
-    Ring& ring = ring_for_tid(tid);
-    const std::size_t per_ring = std::max<std::size_t>(1, capacity_ / kRings);
-    std::lock_guard<std::mutex> lock(ring.mu);
-    if (ring.events.size() >= per_ring) {
-        ring.events.pop_front();
-        ++ring.dropped;
-    }
-    ring.events.push_back(Event{std::move(name), category, begin_ns, duration_ns, tid,
-                                std::move(args_json)});
+    Shard& shard = shard_for_tid(tid);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.events.push(Event{std::move(name), category, begin_ns, duration_ns, tid,
+                            std::move(args_json)});
 }
 
 void Tracer::set_thread_name(int tid, std::string name) {
@@ -85,27 +83,27 @@ void Tracer::set_thread_name(int tid, std::string name) {
 
 std::size_t Tracer::event_count() const {
     std::size_t n = 0;
-    for (const Ring& ring : rings_) {
-        std::lock_guard<std::mutex> lock(ring.mu);
-        n += ring.events.size();
+    for (const Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        n += shard.events.size();
     }
     return n;
 }
 
 std::uint64_t Tracer::dropped() const {
     std::uint64_t n = 0;
-    for (const Ring& ring : rings_) {
-        std::lock_guard<std::mutex> lock(ring.mu);
-        n += ring.dropped;
+    for (const Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        n += shard.events.dropped();
     }
     return n;
 }
 
 void Tracer::write_chrome_json(std::ostream& out) const {
     std::vector<Event> events;
-    for (const Ring& ring : rings_) {
-        std::lock_guard<std::mutex> lock(ring.mu);
-        events.insert(events.end(), ring.events.begin(), ring.events.end());
+    for (const Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        events.insert(events.end(), shard.events.begin(), shard.events.end());
     }
     std::stable_sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
         return a.begin_ns < b.begin_ns;

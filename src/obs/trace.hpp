@@ -25,12 +25,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
+
+#include "obs/ring.hpp"
 
 namespace gmdf::obs {
 
@@ -45,7 +46,8 @@ class Tracer {
     void start();
     void stop();
 
-    // Max buffered events across all rings; resets the capture.
+    // Max buffered events across all shards (split evenly, at least one
+    // each); stops the capture, and shrinking evicts the oldest events.
     void set_capacity(std::size_t events);
 
     std::uint64_t now_ns() const;
@@ -74,19 +76,19 @@ class Tracer {
         std::string args_json; // pre-rendered {"k":"v"} payload, may be empty
     };
 
-    struct Ring {
+    static constexpr std::size_t kShards = 8;
+    static constexpr std::size_t kDefaultCapacity = 1 << 18;
+
+    struct Shard {
         mutable std::mutex mu;
-        std::deque<Event> events;
-        std::uint64_t dropped = 0;
+        Ring<Event> events{kDefaultCapacity / kShards};
     };
 
-    static constexpr std::size_t kRings = 8;
-    Ring& ring_for_tid(int tid) { return rings_[static_cast<std::size_t>(tid) % kRings]; }
+    Shard& shard_for_tid(int tid) { return shards_[static_cast<std::size_t>(tid) % kShards]; }
 
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_{};
-    std::size_t capacity_ = 1 << 18;
-    Ring rings_[kRings];
+    Shard shards_[kShards];
     mutable std::mutex meta_mu_;
     std::map<int, std::string> thread_names_;
 };

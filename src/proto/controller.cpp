@@ -175,7 +175,8 @@ const std::vector<SessionController::VerbEntry>& SessionController::verb_table()
     return table;
 }
 
-SessionController::SessionController(core::DebugSession& session) : session_(&session) {
+SessionController::SessionController(core::DebugSession& session)
+    : session_(&session), events_(kMaxQueuedEvents) {
     bind_verbs();
     session_->engine().add_observer(this);
 }
@@ -210,22 +211,14 @@ Response SessionController::execute_line(std::string_view line) {
     return execute(*parsed.request);
 }
 
-std::vector<Event> SessionController::drain_events() {
-    std::vector<Event> out(events_.begin(), events_.end());
-    events_.clear();
-    return out;
-}
+std::vector<Event> SessionController::drain_events() { return events_.drain(); }
 
 std::uint64_t SessionController::dropped_events() const {
     return session_->engine().stats().events_dropped;
 }
 
 void SessionController::push_event(Event ev) {
-    if (events_.size() >= kMaxQueuedEvents) {
-        events_.pop_front();
-        session_->engine().note_event_dropped();
-    }
-    events_.push_back(std::move(ev));
+    if (events_.push(std::move(ev))) session_->engine().note_event_dropped();
     session_->engine().note_event();
 }
 

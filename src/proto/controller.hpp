@@ -15,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string_view>
 #include <vector>
 
 #include "core/observer.hpp"
+#include "obs/ring.hpp"
 #include "proto/dispatcher.hpp"
 #include "proto/message.hpp"
 #include "rt/des.hpp"
@@ -120,7 +120,7 @@ private:
     Dispatcher dispatcher_;
     RunHook run_hook_;
     replay::Timeline* timeline_ = nullptr;
-    std::deque<Event> events_;
+    obs::Ring<Event> events_;
 };
 
 } // namespace gmdf::proto

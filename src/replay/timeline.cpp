@@ -81,7 +81,7 @@ const Checkpoint* Timeline::capture_now(std::string* error) {
         Checkpoint cp;
         cp.snap = timed_snapshot_op(replay_metrics().capture_ns, "capture",
                                     [&] { return capture_snapshot(*target_, *session_); });
-        cp.journal_index = journal_base_ + journal_.size();
+        cp.journal_index = journal_.dropped() + journal_.size();
         // A trailing run entry is still open — sync_journal extends it in
         // place as time advances past this capture — so catch-up must
         // start AT it; replay clamps its span to [cp.time, t].
@@ -120,26 +120,17 @@ void Timeline::advance(rt::SimTime duration) {
 }
 
 void Timeline::set_journal_capacity(std::size_t capacity) {
-    journal_capacity_ = capacity;
-    while (journal_capacity_ != 0 && journal_.size() > journal_capacity_) {
-        journal_.pop_front();
-        ++journal_base_;
-        ++journal_dropped_;
-    }
-    store_.drop_before_journal_index(journal_base_);
+    journal_.set_capacity(capacity);
+    store_.drop_before_journal_index(journal_.dropped());
 }
 
 void Timeline::append_journal(JournalEntry e) {
-    if (journal_capacity_ != 0 && journal_.size() >= journal_capacity_) {
-        journal_.pop_front();
-        ++journal_base_;
-        ++journal_dropped_;
+    if (journal_.push(std::move(e))) {
         // Checkpoints anchored before the surviving window can no longer
         // catch up — rewind past them now refuses with its usual
         // out-of-range/no-checkpoint error instead of replaying wrong.
-        store_.drop_before_journal_index(journal_base_);
+        store_.drop_before_journal_index(journal_.dropped());
     }
-    journal_.push_back(std::move(e));
 }
 
 void Timeline::sync_journal() {
@@ -235,14 +226,15 @@ Timeline::ReplayStop Timeline::replay_span(const Checkpoint& cp, rt::SimTime t,
 
     timed_snapshot_op(replay_metrics().restore_ns, "restore",
                       [&] { restore_snapshot(cp.snap, *target_, *session_); });
-    // journal_index is absolute; the ring holds [journal_base_, base +
-    // size). Checkpoints stranded below the window are dropped at
-    // eviction time, so the start is always inside it.
+    // journal_index is absolute; the ring holds [base, base + size) with
+    // base = journal_.dropped(). Checkpoints stranded below the window
+    // are dropped at eviction time, so the start is always inside it.
+    const std::size_t base = journal_.dropped();
     std::size_t i = cp.journal_index;
     rt::SimTime cur = cp.snap.time;
     bool partial = false;
-    while (i - journal_base_ < journal_.size()) {
-        const JournalEntry& e = journal_[i - journal_base_];
+    while (i - base < journal_.size()) {
+        const JournalEntry& e = journal_[i - base];
         if (e.is_run) {
             rt::SimTime to = std::min(e.run_to, t);
             if (to > cur) {
@@ -294,8 +286,8 @@ std::optional<NavError> Timeline::rewind_to(rt::SimTime t) {
     ReplayStop stop = replay_span(*cp, t, nullptr);
 
     // The future past t is now abandoned history: drop it everywhere.
-    journal_.resize((stop.partial_run ? stop.next_entry + 1 : stop.next_entry) -
-                    journal_base_);
+    journal_.truncate((stop.partial_run ? stop.next_entry + 1 : stop.next_entry) -
+                      journal_.dropped());
     if (stop.partial_run) journal_.back().run_to = t;
     journal_time_ = t;
     session_->trace_recorder().truncate_after(t);

@@ -25,12 +25,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/observer.hpp"
+#include "obs/ring.hpp"
 #include "replay/checkpoint.hpp"
 
 namespace gmdf::core {
@@ -141,10 +141,10 @@ public:
     /// whose catch-up window they anchored are dropped with them, which
     /// shrinks how far back rewind can reach (never its correctness).
     void set_journal_capacity(std::size_t capacity);
-    [[nodiscard]] std::size_t journal_capacity() const { return journal_capacity_; }
+    [[nodiscard]] std::size_t journal_capacity() const { return journal_.capacity(); }
 
     /// Journal entries evicted because the ring was full.
-    [[nodiscard]] std::uint64_t journal_dropped() const { return journal_dropped_; }
+    [[nodiscard]] std::uint64_t journal_dropped() const { return journal_.dropped(); }
 
     // ---- navigation --------------------------------------------------------
 
@@ -190,12 +190,11 @@ private:
     core::DebugSession* session_;
     CheckpointStore store_;
     /// Journal ring. Checkpoint.journal_index stays an *absolute* index
-    /// (entries ever appended); journal_base_ is the absolute index of
-    /// journal_.front(), so eviction never invalidates stored indices.
-    std::deque<JournalEntry> journal_;
-    std::size_t journal_base_ = 0;
-    std::size_t journal_capacity_ = 65536;
-    std::uint64_t journal_dropped_ = 0;
+    /// (entries ever appended). The ring is never cleared and only ever
+    /// loses entries off the front by eviction, so journal_.dropped() is
+    /// the absolute index of journal_.front() and eviction never
+    /// invalidates stored indices.
+    obs::Ring<JournalEntry> journal_{65536};
     rt::SimTime journal_time_ = 0;
     rt::SimTime auto_period_ = 0;
     rt::SimTime next_capture_ = 0;

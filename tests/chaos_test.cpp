@@ -17,15 +17,19 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "campaign/chaos.hpp"
 #include "core/observer.hpp"
+#include "core/trace.hpp"
 #include "hub/controller.hpp"
 #include "net/chaos.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
 #include "net/server.hpp"
+#include "obs/ring.hpp"
 #include "proto/scenarios.hpp"
 #include "proto/script.hpp"
 #include "replay/timeline.hpp"
@@ -147,7 +151,7 @@ TEST(Watchdog, RunawaySessionIsQuarantinedAfterMaxStrikes) {
     gh::SessionRegistry::Entry* a = registry.open("blinker", "a");
     ASSERT_NE(a, nullptr);
 
-    gh::PollScheduler sched;
+    gh::ShardedScheduler sched;
     // A 500 ms slice executes thousands of engine steps — reliably over
     // a 1 us wall deadline on any host.
     sched.set_budget(500 * gr::kMs);
@@ -422,6 +426,12 @@ TEST(BoundedRings, TimelineJournalEvictsAndSurfacesInQueryStats) {
     ASSERT_NE(scenario, nullptr);
     scenario->timeline->set_journal_capacity(4);
 
+    // Two checkpoints anchored at the start of the journal, which the
+    // eviction loop below slides past.
+    ASSERT_TRUE(scenario->controller().execute_line("checkpoint now").ok());
+    ASSERT_TRUE(scenario->controller().execute_line("run 10").ok());
+    ASSERT_TRUE(scenario->controller().execute_line("checkpoint now").ok());
+
     // Consecutive runs coalesce into one open journal entry, so
     // interleave control ops — each pause/resume journals separately.
     for (int i = 0; i < 8; ++i) {
@@ -438,11 +448,107 @@ TEST(BoundedRings, TimelineJournalEvictsAndSurfacesInQueryStats) {
         surfaced = surfaced || line.find("journal-ring dropped") != std::string::npos;
     EXPECT_TRUE(surfaced) << "journal drops invisible in query stats";
 
+    // Evicting the entries a checkpoint replays from drops the
+    // checkpoint with them: rewinding to the start now has nothing to
+    // restore from, and the store counts both as evicted.
+    gp::Response early = scenario->controller().execute_line("rewind 0");
+    EXPECT_FALSE(early.ok());
+    EXPECT_NE(early.message.find("no checkpoint at or before the requested time"),
+              std::string::npos)
+        << early.message;
+    gp::Response list = scenario->controller().execute_line("checkpoint list");
+    ASSERT_TRUE(list.ok());
+    bool evicted_both = false;
+    for (const std::string& line : list.body)
+        evicted_both = evicted_both || line.find("evicted 2") != std::string::npos;
+    EXPECT_TRUE(evicted_both) << "checkpoint list does not report evicted 2";
+
     // The bounded journal still replays what it kept: a rewind to the
-    // most recent checkpoint must succeed.
+    // most recent checkpoint (at 90 ms: the first run plus eight loop
+    // runs) must succeed.
     EXPECT_TRUE(scenario->controller().execute_line("checkpoint now").ok());
     EXPECT_TRUE(scenario->controller().execute_line("run 10").ok());
-    EXPECT_TRUE(scenario->controller().execute_line("rewind 80").ok());
+    EXPECT_TRUE(scenario->controller().execute_line("rewind 90").ok());
+}
+
+TEST(BoundedRings, TraceShrinkRecordsTheLostWindow) {
+    gmdf::core::TraceRecorder trace;
+    for (int i = 1; i <= 5; ++i)
+        trace.record({gmdf::link::Cmd::Hello, 0, 0, 0.0f}, i * gr::kMs);
+    trace.set_capacity(2);
+    EXPECT_EQ(trace.dropped(), 3u);
+    EXPECT_EQ(trace.dropped_through(), 3 * gr::kMs);
+    EXPECT_EQ(trace.earliest_retained().value(), 4 * gr::kMs);
+}
+
+TEST(BoundedRings, RingPushPastCapacityReportsTheEvictedItem) {
+    gmdf::obs::Ring<int> ring(2);
+    EXPECT_FALSE(ring.push(1).has_value());
+    EXPECT_FALSE(ring.push(2).has_value());
+    const std::optional<int> evicted = ring.push(3);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(*evicted, 1);
+    EXPECT_EQ(ring.dropped(), 1u);
+    ASSERT_EQ(ring.size(), 2u);
+    EXPECT_EQ(ring[0], 2);
+    EXPECT_EQ(ring[1], 3);
+
+    gmdf::obs::Ring<int> unbounded;
+    for (int i = 0; i < 1000; ++i) EXPECT_FALSE(unbounded.push(i).has_value());
+    EXPECT_EQ(unbounded.size(), 1000u);
+    EXPECT_EQ(unbounded.dropped(), 0u);
+}
+
+TEST(BoundedRings, RingShrinkEvictsOldestAndCounts) {
+    gmdf::obs::Ring<int> ring;
+    for (int i = 0; i < 5; ++i) ring.push(i);
+    ring.set_capacity(2);
+    EXPECT_EQ(ring.capacity(), 2u);
+    EXPECT_EQ(ring.dropped(), 3u);
+    EXPECT_EQ(std::vector<int>(ring.begin(), ring.end()), (std::vector<int>{3, 4}));
+    ring.set_capacity(0); // growing (here: unbounded) evicts nothing
+    ring.push(5);
+    EXPECT_EQ(ring.size(), 3u);
+    EXPECT_EQ(ring.dropped(), 3u);
+}
+
+TEST(BoundedRings, RingTruncateAndPopLeaveDroppedUnchanged) {
+    gmdf::obs::Ring<int> ring(3);
+    for (int i = 0; i < 5; ++i) ring.push(i); // keeps 2 3 4, dropped 2
+    ring.truncate(2);
+    EXPECT_EQ(std::vector<int>(ring.begin(), ring.end()), (std::vector<int>{2, 3}));
+    ring.truncate(5); // longer than the ring: nothing to discard
+    EXPECT_EQ(ring.size(), 2u);
+    ring.pop_back();
+    EXPECT_EQ(ring.back(), 2);
+    ring.pop_front();
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.dropped(), 2u);
+}
+
+TEST(BoundedRings, RingDrainEmptiesWithoutCountingDrops) {
+    gmdf::obs::Ring<std::string> ring(2);
+    ring.push("a");
+    ring.push("b");
+    ring.push("c");
+    EXPECT_EQ(ring.drain(), (std::vector<std::string>{"b", "c"}));
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.dropped(), 1u);
+    // Drained slots are free again: the next two pushes evict nothing.
+    EXPECT_FALSE(ring.push("d").has_value());
+    EXPECT_FALSE(ring.push("e").has_value());
+    EXPECT_EQ(ring.dropped(), 1u);
+}
+
+TEST(BoundedRings, RingClearResetsDropped) {
+    gmdf::obs::Ring<int> ring(1);
+    ring.push(1);
+    ring.push(2);
+    ASSERT_EQ(ring.dropped(), 1u);
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.dropped(), 0u);
+    EXPECT_EQ(ring.capacity(), 1u); // the bound survives a clear
 }
 
 } // namespace

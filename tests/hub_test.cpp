@@ -15,7 +15,7 @@
 #include "core/transports.hpp"
 #include "hub/controller.hpp"
 #include "hub/registry.hpp"
-#include "hub/scheduler.hpp"
+#include "hub/sharded.hpp"
 #include "proto/script.hpp"
 
 namespace gc = gmdf::comdes;
@@ -199,7 +199,7 @@ TEST(Scheduler, FloodingTransportCannotStarveQuietSessions) {
 }
 
 TEST(Scheduler, RejectsNonPositiveBudget) {
-    gh::PollScheduler scheduler;
+    gh::ShardedScheduler scheduler;
     EXPECT_THROW(scheduler.set_budget(0), std::invalid_argument);
     EXPECT_THROW(scheduler.set_budget(-5), std::invalid_argument);
 }

@@ -81,9 +81,9 @@ std::map<std::string, std::vector<std::string>> split_streams(const std::string&
 
 // ---- determinism contract ---------------------------------------------------
 
-TEST(Determinism, SingleSessionTranscriptMatchesPollSchedulerGolden) {
+TEST(Determinism, SingleSessionTranscriptMatchesGoldenAtFourThreads) {
     // threads=4 on a one-session hub must still produce the exact
-    // PollScheduler bytes (the quickstart golden is recorded against a
+    // single-threaded bytes (the quickstart golden is recorded against a
     // bare single-threaded SessionController).
     gh::HubController hub;
     hub.scheduler().set_threads(4);
@@ -210,6 +210,25 @@ TEST(HubVerb, SessionStatsShardsReportsTheSplit) {
     EXPECT_NE(resp.body[1].find("shard 0: sessions 1"), std::string::npos);
     EXPECT_NE(resp.body[2].find("shard 1: sessions 1"), std::string::npos);
     EXPECT_NE(resp.body[3].find("steals-total"), std::string::npos);
+}
+
+TEST(HubVerb, SessionStatsShardsZeroesShardsLeftIdleByTheLastPump) {
+    // `sessions` is the assignment of the most recent pump: once only
+    // one session is live, shard 1 got nothing and must say so rather
+    // than keep the previous pump's count.
+    gh::HubController hub;
+    hub.scheduler().set_threads(2);
+    ASSERT_NE(hub.open("blinker", "a"), nullptr);
+    ASSERT_NE(hub.open("blinker", "b"), nullptr);
+    ASSERT_TRUE(hub.execute_line("run 50").ok());
+    ASSERT_TRUE(hub.execute_line("session close b").ok());
+    ASSERT_TRUE(hub.execute_line("run 50").ok());
+
+    auto resp = hub.execute_line("session stats shards");
+    ASSERT_TRUE(resp.ok());
+    ASSERT_EQ(resp.body.size(), 4u);
+    EXPECT_NE(resp.body[1].find("shard 0: sessions 1"), std::string::npos) << resp.body[1];
+    EXPECT_NE(resp.body[2].find("shard 1: sessions 0"), std::string::npos) << resp.body[2];
 }
 
 // ---- campaign ---------------------------------------------------------------
