@@ -581,7 +581,7 @@ std::string emit_actor_c(const Model& model, const MObject& actor,
        << "static double gmdf_max(double a, double b) { return a > b ? a : b; }\n"
        << "static double gmdf_abs(double a) { return fabs(a); }\n"
        << "static double gmdf_clamp(double x, double lo, double hi)\n"
-       << "{ return x < lo ? lo : (x > hi ? hi : x); }\n"
+       << "{ double m = x < lo ? lo : x; return hi < m ? hi : m; }\n"
        << "static double gmdf_floor(double a) { return floor(a); }\n"
        << "static double gmdf_ceil(double a) { return ceil(a); }\n"
        << "static double gmdf_sqrt(double a) { return sqrt(a); }\n"

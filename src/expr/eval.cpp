@@ -30,15 +30,15 @@ Value arith(BinOp op, const Value& a, const Value& b) {
     if (both_int(a, b)) {
         std::int64_t x = a.as_int(), y = b.as_int();
         switch (op) {
-        case BinOp::Add: return Value(x + y);
-        case BinOp::Sub: return Value(x - y);
-        case BinOp::Mul: return Value(x * y);
+        case BinOp::Add: return Value(vmops::wrap_add(x, y));
+        case BinOp::Sub: return Value(vmops::wrap_sub(x, y));
+        case BinOp::Mul: return Value(vmops::wrap_mul(x, y));
         case BinOp::Div:
             if (y == 0) throw EvalError("integer division by zero");
-            return Value(x / y);
+            return Value(vmops::wrap_div(x, y));
         case BinOp::Mod:
             if (y == 0) throw EvalError("integer modulo by zero");
-            return Value(x % y);
+            return Value(vmops::wrap_mod(x, y));
         default: break;
         }
     }
@@ -93,14 +93,17 @@ Value call_builtin(const std::string& fn, const std::vector<Value>& args) {
     }
     if (fn == "abs") {
         need(1);
-        if (args[0].is_int()) return Value(args[0].as_int() < 0 ? -args[0].as_int() : args[0].as_int());
+        if (args[0].is_int()) {
+            std::int64_t v = args[0].as_int();
+            return Value(v < 0 ? vmops::wrap_neg(v) : v);
+        }
         return Value(std::fabs(num(0)));
     }
     if (fn == "clamp") {
         need(3);
         if (both_int(args[0], args[1]) && args[2].is_int())
-            return Value(std::clamp(args[0].as_int(), args[1].as_int(), args[2].as_int()));
-        return Value(std::clamp(num(0), num(1), num(2)));
+            return Value(vmops::clamp(args[0].as_int(), args[1].as_int(), args[2].as_int()));
+        return Value(vmops::clamp(num(0), num(1), num(2)));
     }
     if (fn == "floor") { need(1); return Value(std::floor(num(0))); }
     if (fn == "ceil") { need(1); return Value(std::ceil(num(0))); }
@@ -139,7 +142,7 @@ Value eval(const Expr& e, const VarLookup& vars) {
             } else if constexpr (std::is_same_v<T, Unary>) {
                 Value v = eval(*n.operand, vars);
                 if (n.op == UnOp::Not) return Value(!truthy(v));
-                if (v.is_int()) return Value(-v.as_int());
+                if (v.is_int()) return Value(vmops::wrap_neg(v.as_int()));
                 return Value(-numeric(v, "negation"));
             } else if constexpr (std::is_same_v<T, Binary>) {
                 // Short-circuit logical operators.

@@ -1,8 +1,11 @@
 // Evaluator for the GMDF expression language.
 //
 // Evaluation is dynamically typed over meta::Value restricted to
-// Bool/Int/Real. Arithmetic on two Ints stays Int (C semantics, matching
-// the generated code); any Real operand promotes the operation to Real.
+// Bool/Int/Real. Arithmetic on two Ints stays Int; any Real operand
+// promotes the operation to Real. Int arithmetic wraps two's-complement
+// (expr::vmops::wrap_*): + - * and unary minus keep the low 64 bits,
+// INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0, so no integer
+// input is undefined. Only division and modulo by zero are errors.
 #pragma once
 
 #include <functional>

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <new>
+#include <type_traits>
 
 namespace gmdf::expr {
 
@@ -9,7 +12,7 @@ namespace {
 
 /// Stack frames this deep live on the C stack; compile() keeps typical
 /// expressions far below this, and deeper programs fall back to a heap
-/// buffer (still correct, just off the fast path).
+/// buffer.
 constexpr std::uint32_t kInlineStack = 64;
 
 double numeric(const VmValue& v) { return v.as_number(); }
@@ -20,22 +23,26 @@ bool both_int(const VmValue& a, const VmValue& b) { return a.is_int() && b.is_in
 
 namespace vmops {
 
+VmValue neg(const VmValue& v) {
+    return v.is_int() ? VmValue::of_int(wrap_neg(v.i)) : VmValue::of_real(-numeric(v));
+}
+
 /// Tagged arithmetic, mirroring the reference interpreter: Int op Int
-/// stays Int (C semantics), anything else promotes to Real.
+/// stays Int (wrapping), anything else promotes to Real.
 VmStatus arith(Op op, const VmValue& a, const VmValue& b, VmValue& out) {
     if (both_int(a, b)) {
         std::int64_t x = a.i, y = b.i;
         switch (op) {
-        case Op::Add: out = VmValue::of_int(x + y); return VmStatus::Ok;
-        case Op::Sub: out = VmValue::of_int(x - y); return VmStatus::Ok;
-        case Op::Mul: out = VmValue::of_int(x * y); return VmStatus::Ok;
+        case Op::Add: out = VmValue::of_int(wrap_add(x, y)); return VmStatus::Ok;
+        case Op::Sub: out = VmValue::of_int(wrap_sub(x, y)); return VmStatus::Ok;
+        case Op::Mul: out = VmValue::of_int(wrap_mul(x, y)); return VmStatus::Ok;
         case Op::Div:
             if (y == 0) return VmStatus::DivByZero;
-            out = VmValue::of_int(x / y);
+            out = VmValue::of_int(wrap_div(x, y));
             return VmStatus::Ok;
         case Op::Mod:
             if (y == 0) return VmStatus::DivByZero;
-            out = VmValue::of_int(x % y);
+            out = VmValue::of_int(wrap_mod(x, y));
             return VmStatus::Ok;
         default: break;
         }
@@ -86,12 +93,12 @@ VmValue call_builtin(Builtin fn, const VmValue* args, int argc) {
         return VmValue::of_real(std::max(num(0), num(1)));
     case Builtin::Abs:
         if (args[0].is_int())
-            return VmValue::of_int(args[0].i < 0 ? -args[0].i : args[0].i);
+            return VmValue::of_int(args[0].i < 0 ? wrap_neg(args[0].i) : args[0].i);
         return VmValue::of_real(std::fabs(num(0)));
     case Builtin::Clamp:
         if (both_int(args[0], args[1]) && args[2].is_int())
-            return VmValue::of_int(std::clamp(args[0].i, args[1].i, args[2].i));
-        return VmValue::of_real(std::clamp(num(0), num(1), num(2)));
+            return VmValue::of_int(clamp(args[0].i, args[1].i, args[2].i));
+        return VmValue::of_real(clamp(num(0), num(1), num(2)));
     case Builtin::Floor: return VmValue::of_real(std::floor(num(0)));
     case Builtin::Ceil: return VmValue::of_real(std::ceil(num(0)));
     case Builtin::Sqrt: return VmValue::of_real(std::sqrt(num(0)));
@@ -115,28 +122,7 @@ namespace {
 using vmops::arith;
 using vmops::call_builtin;
 using vmops::compare;
-
-/// Double-only builtin call: only taken on numeric-fast-path programs,
-/// where the interpreter would take the real branch anyway (or where the
-/// Int/Real distinction provably cannot alter the coerced result).
-double call_builtin_num(Builtin fn, const double* args) {
-    switch (fn) {
-    case Builtin::Min: return std::min(args[0], args[1]);
-    case Builtin::Max: return std::max(args[0], args[1]);
-    case Builtin::Abs: return std::fabs(args[0]);
-    case Builtin::Clamp: return std::clamp(args[0], args[1], args[2]);
-    case Builtin::Floor: return std::floor(args[0]);
-    case Builtin::Ceil: return std::ceil(args[0]);
-    case Builtin::Sqrt: return std::sqrt(args[0]);
-    case Builtin::Sin: return std::sin(args[0]);
-    case Builtin::Cos: return std::cos(args[0]);
-    case Builtin::Exp: return std::exp(args[0]);
-    case Builtin::Log: return std::log(args[0]);
-    case Builtin::Pow: return std::pow(args[0], args[1]);
-    case Builtin::Sign: return args[0] > 0 ? 1.0 : args[0] < 0 ? -1.0 : 0.0;
-    }
-    return 0.0;
-}
+using vmops::neg;
 
 const char* op_name(Op op) {
     switch (op) {
@@ -201,11 +187,18 @@ const char* to_string(VmStatus s) {
     return "?";
 }
 
-VmStatus CompiledExpr::run(std::span<const VmValue> slots, VmValue& out) const {
-    if (slots.size() < slot_count_) return VmStatus::TypeError;
-    VmValue inline_buf[kInlineStack];
+// What makes VmValue an implicit-lifetime type, which exec() relies on.
+static_assert(std::is_trivially_copy_constructible_v<VmValue> &&
+              std::is_trivially_destructible_v<VmValue>);
+
+template <class LoadSlot>
+VmStatus CompiledExpr::exec(const LoadSlot& load, VmValue& out) const {
+    // Uninitialised storage: VmValue is an implicit-lifetime type, so each
+    // stack cell comes into being when it is first written, and a run
+    // pays for the cells it uses, not for kInlineStack constructors.
+    alignas(VmValue) std::byte inline_buf[kInlineStack * sizeof(VmValue)];
     std::vector<VmValue> heap_buf;
-    VmValue* st = inline_buf;
+    VmValue* st = std::launder(reinterpret_cast<VmValue*>(inline_buf));
     if (max_stack_ > kInlineStack) {
         heap_buf.resize(max_stack_);
         st = heap_buf.data();
@@ -217,12 +210,8 @@ VmStatus CompiledExpr::run(std::span<const VmValue> slots, VmValue& out) const {
         const Insn& in = code[pc];
         switch (in.op) {
         case Op::PushConst: st[sp++] = consts_[static_cast<std::size_t>(in.a)]; break;
-        case Op::LoadSlot: st[sp++] = slots[static_cast<std::size_t>(in.a)]; break;
-        case Op::Neg: {
-            VmValue& v = st[sp - 1];
-            v = v.is_int() ? VmValue::of_int(-v.i) : VmValue::of_real(-numeric(v));
-            break;
-        }
+        case Op::LoadSlot: st[sp++] = load(static_cast<std::size_t>(in.a)); break;
+        case Op::Neg: st[sp - 1] = neg(st[sp - 1]); break;
         case Op::Not: st[sp - 1] = VmValue::of_bool(!st[sp - 1].truthy()); break;
         case Op::Truthy: st[sp - 1] = VmValue::of_bool(st[sp - 1].truthy()); break;
         case Op::Add: case Op::Sub: case Op::Mul: case Op::Div: case Op::Mod: {
@@ -256,73 +245,17 @@ VmStatus CompiledExpr::run(std::span<const VmValue> slots, VmValue& out) const {
     return VmStatus::TypeError; // fell off the end: malformed program
 }
 
+VmStatus CompiledExpr::run(std::span<const VmValue> slots, VmValue& out) const {
+    if (slots.size() < slot_count_) return VmStatus::TypeError;
+    return exec([&](std::size_t i) { return slots[i]; }, out);
+}
+
 VmStatus CompiledExpr::run(std::span<const double> slots, double& out) const {
     if (slots.size() < slot_count_) return VmStatus::TypeError;
-    if (!numeric_ok_) {
-        // Tagged fallback: box the slots once, coerce the result.
-        VmValue inline_slots[kInlineStack];
-        std::vector<VmValue> heap_slots;
-        VmValue* sv = inline_slots;
-        if (slot_count_ > kInlineStack) {
-            heap_slots.resize(slot_count_);
-            sv = heap_slots.data();
-        }
-        for (std::size_t i = 0; i < slot_count_; ++i) sv[i] = VmValue::of_real(slots[i]);
-        VmValue v;
-        VmStatus s = run(std::span<const VmValue>(sv, slot_count_), v);
-        if (s == VmStatus::Ok) out = v.as_number();
-        return s;
-    }
-
-    // Unboxed double loop: no tags, no faults (the compiler proved both
-    // impossible for this program).
-    double inline_buf[kInlineStack];
-    std::vector<double> heap_buf;
-    double* st = inline_buf;
-    if (max_stack_ > kInlineStack) {
-        heap_buf.resize(max_stack_);
-        st = heap_buf.data();
-    }
-    std::size_t sp = 0;
-    const Insn* code = code_.data();
-    const std::size_t n = code_.size();
-    for (std::size_t pc = 0; pc < n; ++pc) {
-        const Insn& in = code[pc];
-        switch (in.op) {
-        case Op::PushConst: st[sp++] = consts_num_[static_cast<std::size_t>(in.a)]; break;
-        case Op::LoadSlot: st[sp++] = slots[static_cast<std::size_t>(in.a)]; break;
-        case Op::Neg: st[sp - 1] = -st[sp - 1]; break;
-        case Op::Not: st[sp - 1] = st[sp - 1] != 0.0 ? 0.0 : 1.0; break;
-        case Op::Truthy: st[sp - 1] = st[sp - 1] != 0.0 ? 1.0 : 0.0; break;
-        case Op::Add: st[sp - 2] += st[sp - 1]; --sp; break;
-        case Op::Sub: st[sp - 2] -= st[sp - 1]; --sp; break;
-        case Op::Mul: st[sp - 2] *= st[sp - 1]; --sp; break;
-        case Op::Div: st[sp - 2] /= st[sp - 1]; --sp; break;
-        case Op::Mod: st[sp - 2] = std::fmod(st[sp - 2], st[sp - 1]); --sp; break;
-        case Op::Lt: st[sp - 2] = st[sp - 2] < st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Le: st[sp - 2] = st[sp - 2] <= st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Gt: st[sp - 2] = st[sp - 2] > st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Ge: st[sp - 2] = st[sp - 2] >= st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Eq: st[sp - 2] = st[sp - 2] == st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Ne: st[sp - 2] = st[sp - 2] != st[sp - 1] ? 1.0 : 0.0; --sp; break;
-        case Op::Jump: pc = static_cast<std::size_t>(in.a) - 1; break;
-        case Op::BrFalse:
-            if (st[--sp] == 0.0) pc = static_cast<std::size_t>(in.a) - 1;
-            break;
-        case Op::BrTrue:
-            if (st[--sp] != 0.0) pc = static_cast<std::size_t>(in.a) - 1;
-            break;
-        case Op::Call: {
-            sp -= static_cast<std::size_t>(in.b);
-            st[sp] = call_builtin_num(static_cast<Builtin>(in.a), st + sp);
-            ++sp;
-            break;
-        }
-        case Op::Fail: return static_cast<VmStatus>(in.a); // unreachable by construction
-        case Op::Ret: out = st[sp - 1]; return VmStatus::Ok;
-        }
-    }
-    return VmStatus::TypeError;
+    VmValue v;
+    VmStatus s = exec([&](std::size_t i) { return VmValue::of_real(slots[i]); }, v);
+    if (s == VmStatus::Ok) out = v.as_number();
+    return s;
 }
 
 bool CompiledExpr::is_constant() const {

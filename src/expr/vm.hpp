@@ -10,12 +10,10 @@
 // classification and short-circuit evaluation (an unknown variable only
 // faults if the instruction is actually reached).
 //
-// Two execution tiers:
-//  - run(span<VmValue>)  tagged values, full Int/Real/Bool semantics;
-//  - run(span<double>)   all-Real slots; programs proven free of both-Int
-//    arithmetic (numeric_fast_path()) execute on a raw double stack with
-//    no tag dispatch at all — the innermost loop of every FB scan, SM
-//    guard check, and breakpoint predicate sweep.
+// One tagged loop serves both entry points: run(span<VmValue>) reads
+// tagged slots, run(span<double>) reads each slot as Real and coerces the
+// result through as_number(). Either way Int/Real/Bool semantics are the
+// interpreter's.
 #pragma once
 
 #include <cstdint>
@@ -135,6 +133,41 @@ struct Insn {
 /// tagged loop and the compiler's constant folder (so a folded constant
 /// is bit-identical to the value the instruction would have produced).
 namespace vmops {
+
+/// Int arithmetic wraps two's-complement, so no operand pair is
+/// undefined: + - * and negation give the low 64 bits of the exact
+/// result, INT64_MIN / -1 == INT64_MIN and INT64_MIN % -1 == 0. The
+/// reference interpreter uses the same helpers.
+[[nodiscard]] inline std::int64_t wrap_add(std::int64_t x, std::int64_t y) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) + static_cast<std::uint64_t>(y));
+}
+[[nodiscard]] inline std::int64_t wrap_sub(std::int64_t x, std::int64_t y) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) - static_cast<std::uint64_t>(y));
+}
+[[nodiscard]] inline std::int64_t wrap_mul(std::int64_t x, std::int64_t y) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) * static_cast<std::uint64_t>(y));
+}
+[[nodiscard]] inline std::int64_t wrap_neg(std::int64_t x) { return wrap_sub(0, x); }
+/// `y` must be non-zero.
+[[nodiscard]] inline std::int64_t wrap_div(std::int64_t x, std::int64_t y) {
+    return y == -1 ? wrap_neg(x) : x / y;
+}
+/// `y` must be non-zero.
+[[nodiscard]] inline std::int64_t wrap_mod(std::int64_t x, std::int64_t y) {
+    return y == -1 ? 0 : x % y;
+}
+
+/// clamp(v, lo, hi): lo is applied first, then hi, so lo > hi yields hi.
+/// Unlike std::clamp this is defined for every argument triple; it is the
+/// one clamp of the expression builtins and the FB library.
+template <class T>
+[[nodiscard]] T clamp(T v, T lo, T hi) {
+    T m = v < lo ? lo : v;
+    return hi < m ? hi : m;
+}
+
+/// Int stays Int (wrapping); everything else negates as a number.
+[[nodiscard]] VmValue neg(const VmValue& v);
 /// Int op Int stays Int; Div/Mod by integer zero reports DivByZero
 /// (and leaves `out` untouched).
 VmStatus arith(Op op, const VmValue& a, const VmValue& b, VmValue& out);
@@ -157,15 +190,8 @@ public:
     VmStatus run(std::span<const VmValue> slots, VmValue& out) const;
 
     /// Evaluates with every slot holding Real(slots[i]); `out` receives
-    /// the result coerced through as_number(). Dispatches to the unboxed
-    /// double loop when numeric_fast_path() holds, else falls back to the
-    /// tagged loop.
+    /// the result coerced through as_number().
     VmStatus run(std::span<const double> slots, double& out) const;
-
-    /// True when the program provably needs no Int/Real distinction for
-    /// all-Real slots (no reachable both-Int arithmetic, no faults), so
-    /// run(span<double>) executes on a raw double stack.
-    [[nodiscard]] bool numeric_fast_path() const { return numeric_ok_; }
 
     /// True when constant folding reduced the whole program to one
     /// PushConst (evaluation cannot fault and ignores slots).
@@ -184,13 +210,16 @@ public:
 private:
     friend class Compiler;
 
+    /// The evaluation loop behind both run() overloads; load(i) yields
+    /// slot i as a VmValue.
+    template <class LoadSlot>
+    VmStatus exec(const LoadSlot& load, VmValue& out) const;
+
     std::vector<Insn> code_;
     std::vector<VmValue> consts_;
-    std::vector<double> consts_num_; ///< as_number() image of consts_
     std::vector<std::string> names_; ///< diagnostic names (Fail operand b)
     std::uint32_t max_stack_ = 0;
     std::uint32_t slot_count_ = 0;
-    bool numeric_ok_ = false;
 };
 
 } // namespace gmdf::expr

@@ -332,6 +332,60 @@ TEST(Loader, ActorsDistributeAcrossNodes) {
 
 // --- C emitter ------------------------------------------------------------------
 
+/// Emits `actor` as C with a stdin/stdout test main, compiles it with the
+/// system C compiler, runs it over `inputs` (one scan per row), and
+/// expects every output of every scan within 1e-9 of the interpreter's
+/// (the flattened actor run over the same inputs).
+void expect_c_matches_interpreter(const gm::Model& model, const std::string& actor_name,
+                                  const std::vector<std::vector<double>>& inputs,
+                                  std::size_t n_out, const std::string& tag) {
+    const gm::MObject* actor = model.find_named(*gc::comdes_metamodel().actor, actor_name);
+    ASSERT_NE(actor, nullptr);
+
+    gg::CEmitOptions copts;
+    copts.test_main = true;
+    copts.dt = 0.001;
+    std::string source = gg::emit_actor_c(model, *actor, copts);
+
+    std::string dir = ::testing::TempDir();
+    std::string c_path = dir + "/" + tag + ".c";
+    std::string bin_path = dir + "/" + tag;
+    {
+        std::ofstream f(c_path);
+        f << source;
+    }
+    std::string compile = "cc -O1 -w -o " + bin_path + " " + c_path + " -lm 2>&1";
+    ASSERT_EQ(std::system(compile.c_str()), 0) << "generated C failed to compile:\n" << source;
+
+    std::ostringstream stimulus;
+    stimulus.precision(17); // round-trippable: both sides see identical values
+    for (const auto& row : inputs) {
+        for (double v : row) stimulus << v << " ";
+        stimulus << "\n";
+    }
+    std::string stim_path = dir + "/" + tag + "_stim.txt";
+    {
+        std::ofstream f(stim_path);
+        f << stimulus.str();
+    }
+    std::string run = bin_path + " < " + stim_path;
+    FILE* pipe = popen(run.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::vector<double> c_out;
+    double v;
+    while (fscanf(pipe, "%lf", &v) == 1) c_out.push_back(v);
+    pclose(pipe);
+    ASSERT_EQ(c_out.size(), inputs.size() * n_out);
+
+    auto prog = gg::flatten_actor(model, *actor, nullptr);
+    std::vector<double> out(n_out);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        prog.run(inputs[i], out, 0.001);
+        for (std::size_t k = 0; k < n_out; ++k)
+            EXPECT_NEAR(c_out[i * n_out + k], out[k], 1e-9) << "scan " << i << " output " << k;
+    }
+}
+
 // Runs an emitted C program against the interpreter on random inputs.
 // Model: expression + PID + SM + delay (stateful, eventful).
 class GoldenC : public ::testing::TestWithParam<unsigned> {};
@@ -361,60 +415,42 @@ TEST_P(GoldenC, CompiledCodeMatchesInterpreter) {
     a.bind_output(smb.sm_id(), "speed", sig_s);
     ASSERT_TRUE(gm::is_clean(gc::validate_comdes(sys.model())));
 
-    const auto& model = sys.model();
-    const gm::MObject* actor = model.find_named(*gc::comdes_metamodel().actor, "ctl");
-    ASSERT_NE(actor, nullptr);
-
-    gg::CEmitOptions copts;
-    copts.test_main = true;
-    copts.dt = 0.001;
-    std::string source = gg::emit_actor_c(model, *actor, copts);
-
-    std::string dir = ::testing::TempDir();
-    std::string c_path = dir + "/gold_actor.c";
-    std::string bin_path = dir + "/gold_actor_" + std::to_string(GetParam());
-    {
-        std::ofstream f(c_path);
-        f << source;
-    }
-    std::string compile = "cc -O1 -w -o " + bin_path + " " + c_path + " -lm 2>&1";
-    ASSERT_EQ(std::system(compile.c_str()), 0) << "generated C failed to compile:\n" << source;
-
-    // Drive both with the same random input sequence.
+    // Drive both with the same random input sequence: u, v, u (lvl shares u).
     std::mt19937 rng(GetParam());
     std::uniform_real_distribution<double> dist(-3.0, 3.0);
-    const int kScans = 200;
-    std::vector<std::array<double, 3>> inputs; // u, v, u (lvl shares u)
-    std::ostringstream stimulus;
-    stimulus.precision(17); // round-trippable: both sides see identical values
-    for (int i = 0; i < kScans; ++i) {
+    std::vector<std::vector<double>> inputs;
+    for (int i = 0; i < 200; ++i) {
         double u = dist(rng), v = dist(rng);
         inputs.push_back({u, v, u});
-        stimulus << u << " " << v << " " << u << "\n";
     }
-    std::string stim_path = dir + "/stim_" + std::to_string(GetParam()) + ".txt";
-    {
-        std::ofstream f(stim_path);
-        f << stimulus.str();
-    }
-    std::string run = bin_path + " < " + stim_path;
-    FILE* pipe = popen(run.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::vector<std::array<double, 2>> c_out;
-    double o1, o2;
-    while (fscanf(pipe, "%lf %lf", &o1, &o2) == 2) c_out.push_back({o1, o2});
-    pclose(pipe);
-    ASSERT_EQ(c_out.size(), static_cast<std::size_t>(kScans));
+    expect_c_matches_interpreter(sys.model(), "ctl", inputs, 2,
+                                 "gold_actor_" + std::to_string(GetParam()));
+}
 
-    auto prog = gg::flatten_actor(model, *actor, nullptr);
-    for (int i = 0; i < kScans; ++i) {
-        std::array<double, 2> out{};
-        prog.run(inputs[static_cast<std::size_t>(i)], out, 0.001);
-        EXPECT_NEAR(c_out[static_cast<std::size_t>(i)][0], out[0], 1e-9)
-            << "scan " << i << " output y";
-        EXPECT_NEAR(c_out[static_cast<std::size_t>(i)][1], out[1], 1e-9)
-            << "scan " << i << " output speed";
-    }
+// limit_, ratelimit_ and clamp() with lo > hi: every engine applies lo
+// first, then hi, so the result is hi.
+TEST(GoldenCClamp, InvertedBoundsMatchInterpreter) {
+    gc::SystemBuilder sys("inv");
+    auto sig_u = sys.add_signal("u");
+    auto sig_l = sys.add_signal("l");
+    auto sig_r = sys.add_signal("r");
+    auto sig_c = sys.add_signal("c");
+    auto a = sys.add_actor("inv", 1000);
+    auto lim = a.add_basic("lim", "limit_", {1.0, -1.0});
+    auto rl = a.add_basic("rl", "ratelimit_", {-2.0});
+    auto cl = a.add_basic("cl", "expression_", {}, "clamp(a, 1.0, -1.0)");
+    a.bind_input(sig_u, lim, "in");
+    a.bind_input(sig_u, rl, "in");
+    a.bind_input(sig_u, cl, "a");
+    a.bind_output(lim, "out", sig_l);
+    a.bind_output(rl, "out", sig_r);
+    a.bind_output(cl, "out", sig_c);
+    ASSERT_TRUE(gm::is_clean(gc::validate_comdes(sys.model())));
+
+    std::vector<std::vector<double>> inputs;
+    for (double u : {-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0, 0.25, -2.0})
+        inputs.push_back({u, u, u});
+    expect_c_matches_interpreter(sys.model(), "inv", inputs, 3, "inv_actor");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GoldenC, ::testing::Values(7u, 99u));

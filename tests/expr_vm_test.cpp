@@ -6,11 +6,12 @@
 // survive) and on error classification (div-by-zero, unknown variable,
 // bad call), with the VM reporting result codes where the interpreter
 // throws. Plus unit cases for constant folding, slot resolution, the
-// short-circuit trap rule, and the unboxed double fast path.
+// short-circuit trap rule, Int wrapping, and the double entry point.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <random>
 
@@ -126,9 +127,14 @@ public:
 private:
     int pick(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
 
-    // Integer literals stay small so Int-Int multiplication chains cannot
-    // overflow int64 (signed overflow is UB in both engines).
-    std::int64_t small_int() { return pick(7) - 3; }
+    // Mostly small integers, plus the edges where Int arithmetic wraps
+    // (INT64_MIN / -1, negating INT64_MIN, products that overflow).
+    std::int64_t small_int() {
+        static const std::int64_t edges[] = {std::numeric_limits<std::int64_t>::min(),
+                                             std::numeric_limits<std::int64_t>::max(), -1};
+        int k = pick(10);
+        return k < 7 ? k - 3 : edges[k - 7];
+    }
 
     double real() {
         static const double pool[] = {0.0, 1.0, -1.0, 0.5, -2.5, 3.25, 40.0, 1e9};
@@ -209,11 +215,9 @@ TEST(VmDifferential, RandomAstsMatchInterpreterBitForBit) {
 
 TEST(VmDifferential, DoublePathMatchesInterpreterOnRealSlots) {
     AstGen gen(424242);
-    int fast = 0;
     for (int round = 0; round < 1500; ++round) {
         ge::ExprPtr ast = gen.gen(5);
         ge::CompiledExpr ce = ge::compile(*ast, slot_names());
-        if (ce.numeric_fast_path()) ++fast;
         auto env = gen.real_env();
         double slots[4];
         for (std::size_t i = 0; i < 4; ++i) slots[i] = env.at(slot_names()[i]).as_real();
@@ -224,12 +228,9 @@ TEST(VmDifferential, DoublePathMatchesInterpreterOnRealSlots) {
         if (st != ge::VmStatus::Ok) continue;
         double expect = want.value.as_number();
         ASSERT_EQ(std::bit_cast<std::uint64_t>(expect), std::bit_cast<std::uint64_t>(got))
-            << ge::to_string(*ast) << "\n= " << expect << " vs " << got
-            << (ce.numeric_fast_path() ? " (fast path)" : " (tagged fallback)") << "\n"
+            << ge::to_string(*ast) << "\n= " << expect << " vs " << got << "\n"
             << ce.disassemble();
     }
-    // The analysis must put a healthy share of programs on the fast path.
-    EXPECT_GT(fast, 300);
 }
 
 // ---- constant folding -------------------------------------------------------
@@ -264,6 +265,69 @@ TEST(VmFolding, ShortCircuitFoldsSkipUnknowns) {
     EXPECT_TRUE(ge::compile("2 > 1 ? 5 : missing", {}).is_constant());
 }
 
+// ---- Int wrapping and clamp: interpreter == VM == folder ---------------------
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+/// Source text for `v` as a literal expression (INT64_MIN has no literal).
+std::string literal(const Value& v) {
+    if (v.is_real()) return "(" + std::to_string(v.as_real()) + ")";
+    if (v.as_int() == kMin) return "(-9223372036854775807 - 1)";
+    return "(" + std::to_string(v.as_int()) + ")";
+}
+
+/// Evaluates `src` over x and y three ways: the interpreter, the VM
+/// loading x and y from slots, and the folder with x and y spliced in as
+/// literals. All three must give `want`, tag and bits.
+void expect_three_way(const std::string& src, const Value& x, const Value& y, const Value& want) {
+    SCOPED_TRACE(src + " with x=" + x.to_string() + " y=" + y.to_string());
+    auto to_vm = [](const Value& v) {
+        return v.is_int() ? ge::VmValue::of_int(v.as_int()) : ge::VmValue::of_real(v.as_real());
+    };
+    auto ast = ge::parse(src);
+    std::map<std::string, Value> env{{"x", x}, {"y", y}};
+    Value interp = ge::eval(*ast, env);
+    EXPECT_TRUE(same_value(want, to_vm(interp))) << interp.to_string();
+
+    ge::VmValue slots[2] = {to_vm(x), to_vm(y)};
+    ge::VmValue vm;
+    ASSERT_EQ(ge::compile(*ast, slot_names()).run(slots, vm), ge::VmStatus::Ok);
+    EXPECT_TRUE(same_value(want, vm)) << describe(vm);
+
+    std::string spliced;
+    for (char c : src)
+        spliced += c == 'x' ? literal(x) : c == 'y' ? literal(y) : std::string(1, c);
+    auto folded = ge::compile(spliced, {});
+    ASSERT_TRUE(folded.is_constant()) << spliced;
+    ge::VmValue fv;
+    ASSERT_EQ(folded.run(std::span<const ge::VmValue>{}, fv), ge::VmStatus::Ok);
+    EXPECT_TRUE(same_value(want, fv)) << describe(fv);
+}
+
+TEST(VmIntWrap, OverflowingIntOpsWrapInEveryEngine) {
+    expect_three_way("x / y", Value(kMin), Value(std::int64_t{-1}), Value(kMin));
+    expect_three_way("x % y", Value(kMin), Value(std::int64_t{-1}), Value(std::int64_t{0}));
+    expect_three_way("-x", Value(kMin), Value(std::int64_t{0}), Value(kMin));
+    expect_three_way("abs(x)", Value(kMin), Value(std::int64_t{0}), Value(kMin));
+    expect_three_way("x + y", Value(kMax), Value(std::int64_t{1}), Value(kMin));
+    expect_three_way("x - y", Value(kMin), Value(std::int64_t{1}), Value(kMax));
+    expect_three_way("x * y", Value(kMin), Value(std::int64_t{-1}), Value(kMin));
+    expect_three_way("x * y", Value(kMax), Value(std::int64_t{2}), Value(std::int64_t{-2}));
+    // Ordinary division still truncates toward zero.
+    expect_three_way("x / y", Value(std::int64_t{-7}), Value(std::int64_t{2}),
+                     Value(std::int64_t{-3}));
+}
+
+TEST(VmIntWrap, ClampWithLoAboveHiYieldsHi) {
+    expect_three_way("clamp(x, 1, -1)", Value(std::int64_t{5}), Value(std::int64_t{0}),
+                     Value(std::int64_t{-1}));
+    expect_three_way("clamp(x, 1, -1)", Value(std::int64_t{-5}), Value(std::int64_t{0}),
+                     Value(std::int64_t{-1}));
+    expect_three_way("clamp(x, 1.0, -1.0)", Value(0.5), Value(0.0), Value(-1.0));
+    expect_three_way("clamp(x, y, 2.0)", Value(3.0), Value(-1.0), Value(2.0));
+}
+
 TEST(VmFolding, FaultingFoldsStayRuntimeFaults) {
     auto ce = ge::compile("1 / 0", {});
     EXPECT_FALSE(ce.is_constant());
@@ -284,7 +348,7 @@ TEST(VmFolding, PartialFoldingInsideVariableExpressions) {
     EXPECT_DOUBLE_EQ(out, 10.0);
 }
 
-// ---- slots, traps, fast path ------------------------------------------------
+// ---- slots, traps, the double entry point -----------------------------------
 
 TEST(VmSlots, VariablesResolveToSlotIndices) {
     std::vector<std::string> slots{"speed", "on"};
@@ -330,20 +394,10 @@ TEST(VmTraps, BadCallsEvaluateArgumentsFirst) {
     EXPECT_EQ(ce2.run(std::span<const double>(&v, 1), out), ge::VmStatus::BadCall);
 }
 
-TEST(VmFastPath, TypicalGuardsRunUnboxed) {
-    std::vector<std::string> slots{"pv", "sp"};
-    EXPECT_TRUE(ge::compile("sp - pv > 0.5", slots).numeric_fast_path());
-    EXPECT_TRUE(ge::compile("clamp(2.0 * (sp - pv), -1.0, 1.0)", slots).numeric_fast_path());
-    EXPECT_TRUE(ge::compile("pv % 2 == 0", slots).numeric_fast_path());
-    // Unknown variables and possible Int/Int division must stay tagged.
-    EXPECT_FALSE(ge::compile("pv > 0 && missing", slots).numeric_fast_path());
-    EXPECT_FALSE(ge::compile("sign(pv) / 2", slots).numeric_fast_path());
-}
-
-TEST(VmFastPath, IntSemanticsSurviveTheDoubleApi) {
+TEST(VmDoubleApi, IntSemanticsSurviveTheDoubleApi) {
     std::vector<std::string> slots{"x"};
-    // sign(x) / 2 is Int/Int division: 1 / 2 == 0, not 0.5 — the double
-    // API must fall back to the tagged loop to preserve that.
+    // sign(x) / 2 is Int/Int division: 1 / 2 == 0, not 0.5, even though
+    // every slot the double API passes in is Real.
     auto ce = ge::compile("sign(x) / 2", slots);
     double out;
     double v = 5.0;
@@ -351,7 +405,7 @@ TEST(VmFastPath, IntSemanticsSurviveTheDoubleApi) {
     EXPECT_EQ(out, 0.0);
 }
 
-TEST(VmFastPath, BothTiersAgreeOnGuardSweep) {
+TEST(VmDoubleApi, BothTiersAgreeOnGuardSweep) {
     std::vector<std::string> slots{"x", "y"};
     const char* exprs[] = {"x > y", "x % 2 == 0", "x > 0 && y > 0",
                            "abs(x - y) <= 1", "min(x, y) == y",

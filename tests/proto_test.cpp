@@ -265,6 +265,19 @@ TEST(Controller, BreakRejectsBadInput) {
               gp::ErrorCode::NotFound);
 }
 
+TEST(Controller, IntOverflowPredicateIsAnsweredAndSessionKeepsServing) {
+    // INT64_MIN / -1 wraps to INT64_MIN when the predicate is folded; it
+    // must not trap the process that serves the session.
+    ScriptedSession s;
+    auto add = s.exec("break add signal \"(-9223372036854775807 - 1) / -1 > 0\"");
+    ASSERT_TRUE(add.ok());
+    EXPECT_EQ(add.body[0],
+              "breakpoint 1 signal-predicate \"(-9223372036854775807 - 1) / -1 > 0\"");
+    EXPECT_TRUE(s.exec("run 2").ok());
+    EXPECT_EQ(s.exec("break list").body.size(), 1u);
+    EXPECT_TRUE(s.exec("info").ok());
+}
+
 TEST(Controller, BreakpointFiresAndQueuesEvent) {
     ScriptedSession s;
     ASSERT_TRUE(s.exec("break add state run").ok());
