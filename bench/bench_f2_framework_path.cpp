@@ -35,23 +35,30 @@ struct Demo {
     }
 };
 
+// The target's encode path: ProgramBody::emit frames into a reused buffer.
 void BM_EncodeFrame(benchmark::State& state) {
     link::Command cmd{link::Cmd::StateEnter, 42, 99, 1.5f};
+    std::vector<std::uint8_t> wire;
     for (auto _ : state) {
-        auto wire = link::frame_payload(link::encode_command(cmd));
+        wire.clear();
+        link::append_frame(wire, link::encode_command(cmd));
         benchmark::DoNotOptimize(wire.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_EncodeFrame);
 
+// The host's decode path: ActiveUartTransport feeds the decoder and takes
+// each payload through the callback.
 void BM_DecodeFrame(benchmark::State& state) {
     link::Command cmd{link::Cmd::StateEnter, 42, 99, 1.5f};
-    auto wire = link::frame_payload(link::encode_command(cmd));
+    std::vector<std::uint8_t> wire;
+    link::append_frame(wire, link::encode_command(cmd));
     link::FrameDecoder decoder;
+    std::size_t payloads = 0;
     for (auto _ : state) {
-        decoder.feed(wire);
-        auto payloads = decoder.take_payloads();
-        benchmark::DoNotOptimize(payloads.size());
+        decoder.feed(wire, [&](std::span<const std::uint8_t>) { ++payloads; });
+        benchmark::DoNotOptimize(payloads);
     }
 }
 BENCHMARK(BM_DecodeFrame);

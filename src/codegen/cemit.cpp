@@ -577,8 +577,8 @@ std::string emit_actor_c(const Model& model, const MObject& actor,
        << "#else\n"
        << "#define GMDF_EMIT(k, a, b, v) ((void)0)\n"
        << "#endif\n\n"
-       << "static double gmdf_min(double a, double b) { return a < b ? a : b; }\n"
-       << "static double gmdf_max(double a, double b) { return a > b ? a : b; }\n"
+       << "static double gmdf_min(double a, double b) { return b < a ? b : a; }\n"
+       << "static double gmdf_max(double a, double b) { return a < b ? b : a; }\n"
        << "static double gmdf_abs(double a) { return fabs(a); }\n"
        << "static double gmdf_clamp(double x, double lo, double hi)\n"
        << "{ double m = x < lo ? lo : x; return hi < m ? hi : m; }\n"

@@ -106,8 +106,8 @@ public:
         else if (kind_ == "sub_") y = x(0) - x(1);
         else if (kind_ == "mul_") y = x(0) * x(1);
         else if (kind_ == "div_") y = x(1) == 0.0 ? 0.0 : x(0) / x(1);
-        else if (kind_ == "min_") y = std::min(x(0), x(1));
-        else if (kind_ == "max_") y = std::max(x(0), x(1));
+        else if (kind_ == "min_") y = expr::vmops::min(x(0), x(1));
+        else if (kind_ == "max_") y = expr::vmops::max(x(0), x(1));
         else if (kind_ == "abs_") y = std::fabs(x(0));
         else if (kind_ == "not_") y = truthy(x(0)) ? 0.0 : 1.0;
         else if (kind_ == "and_") y = (truthy(x(0)) && truthy(x(1))) ? 1.0 : 0.0;
@@ -152,7 +152,7 @@ public:
             capture(in);
         } else if (kind_ == "counter_") {
             if (truthy(x(1))) state_ = 0.0;
-            else if (truthy(x(0)) && !truthy(prev_)) state_ = std::min(state_ + 1.0, p_[0]);
+            else if (truthy(x(0)) && !truthy(prev_)) state_ = expr::vmops::min(state_ + 1.0, p_[0]);
             prev_ = x(0);
             y = state_;
         } else if (kind_ == "sample_hold_") {

@@ -82,14 +82,14 @@ Value call_builtin(const std::string& fn, const std::vector<Value>& args) {
     if (fn == "min") {
         need(2);
         if (both_int(args[0], args[1]))
-            return Value(std::min(args[0].as_int(), args[1].as_int()));
-        return Value(std::min(num(0), num(1)));
+            return Value(vmops::min(args[0].as_int(), args[1].as_int()));
+        return Value(vmops::min(num(0), num(1)));
     }
     if (fn == "max") {
         need(2);
         if (both_int(args[0], args[1]))
-            return Value(std::max(args[0].as_int(), args[1].as_int()));
-        return Value(std::max(num(0), num(1)));
+            return Value(vmops::max(args[0].as_int(), args[1].as_int()));
+        return Value(vmops::max(num(0), num(1)));
     }
     if (fn == "abs") {
         need(1);

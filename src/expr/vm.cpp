@@ -85,12 +85,12 @@ VmValue call_builtin(Builtin fn, const VmValue* args, int argc) {
     switch (fn) {
     case Builtin::Min:
         if (both_int(args[0], args[1]))
-            return VmValue::of_int(std::min(args[0].i, args[1].i));
-        return VmValue::of_real(std::min(num(0), num(1)));
+            return VmValue::of_int(min(args[0].i, args[1].i));
+        return VmValue::of_real(min(num(0), num(1)));
     case Builtin::Max:
         if (both_int(args[0], args[1]))
-            return VmValue::of_int(std::max(args[0].i, args[1].i));
-        return VmValue::of_real(std::max(num(0), num(1)));
+            return VmValue::of_int(max(args[0].i, args[1].i));
+        return VmValue::of_real(max(num(0), num(1)));
     case Builtin::Abs:
         if (args[0].is_int())
             return VmValue::of_int(args[0].i < 0 ? wrap_neg(args[0].i) : args[0].i);

@@ -166,6 +166,20 @@ template <class T>
     return hi < m ? hi : m;
 }
 
+/// min/max with exactly std::min/std::max semantics, spelled out so the
+/// emitted C helpers can copy them: on a tie or an unordered pair the
+/// first operand wins, so min(NaN, 1) is NaN, min(1, NaN) is 1 and
+/// min(0.0, -0.0) is 0.0. The one min/max of the expression builtins and
+/// the FB library.
+template <class T>
+[[nodiscard]] T min(T a, T b) {
+    return b < a ? b : a;
+}
+template <class T>
+[[nodiscard]] T max(T a, T b) {
+    return a < b ? b : a;
+}
+
 /// Int stays Int (wrapping); everything else negates as a number.
 [[nodiscard]] VmValue neg(const VmValue& v);
 /// Int op Int stays Int; Div/Mod by integer zero reports DivByZero

@@ -1,21 +1,24 @@
 #include "link/framing.hpp"
 
-#include <utility>
+#include <array>
 
 namespace gmdf::link {
 
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
-    std::uint16_t crc = 0xFFFF;
-    for (std::uint8_t byte : data) {
-        crc ^= static_cast<std::uint16_t>(byte) << 8;
+namespace {
+
+/// kCrcTable[i] is the CRC register after shifting byte i through a
+/// zero register, so one lookup replaces eight shift/xor steps.
+constexpr std::array<std::uint16_t, 256> kCrcTable = [] {
+    std::array<std::uint16_t, 256> table{};
+    for (unsigned i = 0; i < 256; ++i) {
+        auto crc = static_cast<std::uint16_t>(i << 8);
         for (int bit = 0; bit < 8; ++bit)
             crc = (crc & 0x8000) != 0 ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
                                       : static_cast<std::uint16_t>(crc << 1);
+        table[i] = crc;
     }
-    return crc;
-}
-
-namespace {
+    return table;
+}();
 
 void push_escaped(std::vector<std::uint8_t>& out, std::uint8_t byte) {
     if (byte == kFlag || byte == kEscape) {
@@ -28,77 +31,36 @@ void push_escaped(std::vector<std::uint8_t>& out, std::uint8_t byte) {
 
 } // namespace
 
-std::vector<std::uint8_t> frame_payload(std::span<const std::uint8_t> payload) {
-    std::vector<std::uint8_t> out;
-    out.reserve(payload.size() + 5);
+std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) {
+    std::uint16_t crc = 0xFFFF;
+    for (std::uint8_t byte : data)
+        crc = static_cast<std::uint16_t>((crc << 8) ^ kCrcTable[(crc >> 8) ^ byte]);
+    return crc;
+}
+
+void append_frame(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> payload) {
     out.push_back(kFlag);
     for (std::uint8_t b : payload) push_escaped(out, b);
     std::uint16_t crc = crc16_ccitt(payload);
     push_escaped(out, static_cast<std::uint8_t>(crc >> 8));
     push_escaped(out, static_cast<std::uint8_t>(crc & 0xFF));
     out.push_back(kFlag);
-    return out;
 }
 
-void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
-    for (std::uint8_t b : bytes) {
-        switch (state_) {
-        case State::Hunting:
-            if (b == kFlag) {
-                state_ = State::InFrame;
-                current_.clear();
-            } else {
-                ++junk_;
-            }
-            break;
-        case State::InFrame:
-            if (b == kFlag) {
-                // Either a frame terminator or (after back-to-back frames)
-                // an opening flag; empty frames are silently skipped.
-                end_frame();
-                state_ = State::InFrame;
-                current_.clear();
-            } else if (b == kEscape) {
-                state_ = State::InEscape;
-            } else {
-                current_.push_back(b);
-            }
-            break;
-        case State::InEscape: {
-            std::uint8_t unescaped = b ^ kEscapeXor;
-            if (unescaped != kFlag && unescaped != kEscape) {
-                // Invalid escape sequence: drop the frame, resync.
-                ++corrupt_;
-                state_ = State::Hunting;
-            } else {
-                current_.push_back(unescaped);
-                state_ = State::InFrame;
-            }
-            break;
-        }
-        }
-    }
-}
-
-void FrameDecoder::end_frame() {
-    if (current_.empty()) return; // idle flags between frames
+std::size_t FrameDecoder::end_frame() {
+    if (current_.empty()) return 0; // idle flags between frames
     if (current_.size() < 3) {
         ++corrupt_; // cannot even hold a CRC
-        return;
+        return 0;
     }
     std::size_t n = current_.size() - 2;
     std::uint16_t expected = static_cast<std::uint16_t>(
         (static_cast<std::uint16_t>(current_[n]) << 8) | current_[n + 1]);
-    std::span<const std::uint8_t> payload(current_.data(), n);
-    if (crc16_ccitt(payload) != expected) {
+    if (crc16_ccitt({current_.data(), n}) != expected) {
         ++corrupt_;
-        return;
+        return 0;
     }
-    ready_.emplace_back(payload.begin(), payload.end());
-}
-
-std::vector<std::vector<std::uint8_t>> FrameDecoder::take_payloads() {
-    return std::exchange(ready_, {});
+    return n;
 }
 
 } // namespace gmdf::link

@@ -119,7 +119,8 @@ public:
 
 /// Active command interface (paper's RS-232 solution): the target's debug
 /// UART traffic is HDLC-style frames carrying encoded commands; this
-/// transport owns the FrameDecoder and delivers every CRC-valid command.
+/// transport owns the FrameDecoder and delivers every CRC-valid frame
+/// whose payload decodes to a command (others are dropped uncounted).
 class ActiveUartTransport final : public Transport {
 public:
     /// `target` must outlive the transport.
@@ -128,7 +129,13 @@ public:
 
     [[nodiscard]] const char* name() const override { return "active-uart"; }
     void open(CommandSink& sink) override;
-    void poll(CommandSink& sink, rt::SimTime now) override;
+
+    /// No-op: delivery is push-only. The byte sink installed by open()
+    /// decodes each UART batch and delivers its commands in the same call,
+    /// stamped with the batch's arrival time, so nothing is ever pending.
+    void poll(CommandSink&, rt::SimTime) override {}
+
+    /// Unhooks the byte sink; later UART traffic is not decoded.
     void close() override;
     [[nodiscard]] TransportStats stats() const override;
     [[nodiscard]] TargetControl control() override;
@@ -140,12 +147,9 @@ public:
     [[nodiscard]] bool replay_safe() const override { return true; }
     void restore_stats(const TransportStats& s) override;
 
-    [[nodiscard]] const FrameDecoder& decoder() const { return decoder_; }
-
 private:
     rt::Target* target_;
     FrameDecoder decoder_;
-    CommandSink* sink_ = nullptr;
     std::uint64_t commands_ = 0;
 };
 

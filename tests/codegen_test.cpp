@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -255,18 +257,18 @@ TEST(Loader, ActiveModeEmitsDecodableCommands) {
     auto loaded = gg::load_system(target, f.sys.model(), gg::InstrumentOptions::active());
     (void)loaded;
     gl::FrameDecoder decoder;
+    std::vector<gl::Command> cmds;
+    std::size_t undecodable = 0;
     target.set_debug_sink([&](int, std::span<const std::uint8_t> bytes, rt::SimTime) {
-        decoder.feed(bytes);
+        decoder.feed(bytes, [&](std::span<const std::uint8_t> p) {
+            if (auto cmd = gl::decode_command(p)) cmds.push_back(*cmd);
+            else ++undecodable;
+        });
     });
     target.start();
     target.run_for(55 * rt::kMs);
 
-    std::vector<gl::Command> cmds;
-    for (const auto& p : decoder.take_payloads()) {
-        auto cmd = gl::decode_command(p);
-        ASSERT_TRUE(cmd.has_value());
-        cmds.push_back(*cmd);
-    }
+    EXPECT_EQ(undecodable, 0u);
     ASSERT_FALSE(cmds.empty());
     // First scan: TASK_START, STATE_ENTER(initial=off), TRANSITION,
     // STATE_ENTER(on), SIGNAL_UPDATE, TASK_END.
@@ -335,7 +337,8 @@ TEST(Loader, ActorsDistributeAcrossNodes) {
 /// Emits `actor` as C with a stdin/stdout test main, compiles it with the
 /// system C compiler, runs it over `inputs` (one scan per row), and
 /// expects every output of every scan within 1e-9 of the interpreter's
-/// (the flattened actor run over the same inputs).
+/// (the flattened actor run over the same inputs). NaN matches only NaN,
+/// and a zero must carry the interpreter's sign.
 void expect_c_matches_interpreter(const gm::Model& model, const std::string& actor_name,
                                   const std::vector<std::vector<double>>& inputs,
                                   std::size_t n_out, const std::string& tag) {
@@ -381,8 +384,17 @@ void expect_c_matches_interpreter(const gm::Model& model, const std::string& act
     std::vector<double> out(n_out);
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         prog.run(inputs[i], out, 0.001);
-        for (std::size_t k = 0; k < n_out; ++k)
-            EXPECT_NEAR(c_out[i * n_out + k], out[k], 1e-9) << "scan " << i << " output " << k;
+        for (std::size_t k = 0; k < n_out; ++k) {
+            double c = c_out[i * n_out + k];
+            EXPECT_EQ(std::isnan(c), std::isnan(out[k]))
+                << "scan " << i << " output " << k << ": C " << c << ", interpreter " << out[k];
+            if (std::isnan(c) || std::isnan(out[k])) continue;
+            EXPECT_NEAR(c, out[k], 1e-9) << "scan " << i << " output " << k;
+            if (c == 0.0 && out[k] == 0.0) {
+                EXPECT_EQ(std::signbit(c), std::signbit(out[k]))
+                    << "scan " << i << " output " << k << ": C " << c << ", interpreter " << out[k];
+            }
+        }
     }
 }
 
@@ -451,6 +463,42 @@ TEST(GoldenCClamp, InvertedBoundsMatchInterpreter) {
     for (double u : {-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0, 0.25, -2.0})
         inputs.push_back({u, u, u});
     expect_c_matches_interpreter(sys.model(), "inv", inputs, 3, "inv_actor");
+}
+
+// min_/max_ and the min()/max() builtins on NaN and signed zeros: every
+// engine has std::min/std::max semantics (the first operand wins a tie or
+// an unordered pair), so min(NaN, 1) is NaN, min(1, NaN) is 1 and
+// min(0.0, -0.0) is 0.0.
+TEST(GoldenCMinMax, NanAndSignedZeroMatchInterpreter) {
+    gc::SystemBuilder sys("mm");
+    auto sig_a = sys.add_signal("a");
+    auto sig_b = sys.add_signal("b");
+    auto a = sys.add_actor("mm", 1000);
+    std::vector<gm::ObjectId> blocks = {
+        a.add_basic("lo", "min_", {}),
+        a.add_basic("hi", "max_", {}),
+        a.add_basic("elo", "expression_", {}, "min(a, b)"),
+        a.add_basic("ehi", "expression_", {}, "max(a, b)"),
+    };
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        bool fb = i < 2;
+        a.bind_input(sig_a, blocks[i], fb ? "in1" : "a");
+        a.bind_input(sig_b, blocks[i], fb ? "in2" : "b");
+        a.bind_output(blocks[i], "out", sys.add_signal("y" + std::to_string(i)));
+    }
+    ASSERT_TRUE(gm::is_clean(gc::validate_comdes(sys.model())));
+
+    // Every binding is its own input slot: (a, b) once per block.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<std::vector<double>> inputs;
+    for (auto [x, y] : std::vector<std::pair<double, double>>{
+             {nan, 1.0}, {1.0, nan}, {nan, nan}, {0.0, -0.0}, {-0.0, 0.0},
+             {-0.0, -0.0}, {2.0, -3.0}, {-3.0, 2.0}}) {
+        inputs.emplace_back();
+        for (std::size_t i = 0; i < blocks.size(); ++i)
+            inputs.back().insert(inputs.back().end(), {x, y});
+    }
+    expect_c_matches_interpreter(sys.model(), "mm", inputs, blocks.size(), "minmax_actor");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GoldenC, ::testing::Values(7u, 99u));

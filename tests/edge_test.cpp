@@ -74,10 +74,14 @@ TEST(Edge, DecoderSurvivesRandomGarbage) {
     std::vector<std::uint8_t> garbage;
     for (int i = 0; i < 1000; ++i)
         garbage.push_back(static_cast<std::uint8_t>((i * 7919) & 0xFF));
-    decoder.feed(garbage);
-    auto good = gl::frame_payload(gl::encode_command({gl::Cmd::Hello, 1, 2, 0.0f}));
-    decoder.feed(good);
-    auto payloads = decoder.take_payloads();
+    std::vector<std::vector<std::uint8_t>> payloads;
+    auto collect = [&](std::span<const std::uint8_t> p) {
+        payloads.emplace_back(p.begin(), p.end());
+    };
+    decoder.feed(garbage, collect);
+    std::vector<std::uint8_t> good;
+    gl::append_frame(good, gl::encode_command({gl::Cmd::Hello, 1, 2, 0.0f}));
+    decoder.feed(good, collect);
     // Garbage may alias to at most corrupt frames, never to valid ones
     // except astronomically unlikely CRC collisions; the good frame must
     // arrive last.

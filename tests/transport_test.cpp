@@ -12,6 +12,9 @@
 #include "core/builder.hpp"
 #include "core/session.hpp"
 #include "core/transports.hpp"
+#include "link/framing.hpp"
+#include "link/transport.hpp"
+#include "rt/target.hpp"
 
 namespace gc = gmdf::comdes;
 namespace gg = gmdf::codegen;
@@ -191,6 +194,119 @@ TEST(Transport, ScriptedTransportDeliversByTimestamp) {
     raw->poll(session.engine(), 10 * rt::kMs);
     EXPECT_EQ(session.trace().size(), 3u);
     EXPECT_EQ(*session.engine().current_state(d.sm_id), d.s_run);
+}
+
+// --- Active UART transport ------------------------------------------------------
+
+// A task body that puts one preset byte batch on the debug UART per scan.
+class WireBody final : public rt::TaskBody {
+public:
+    explicit WireBody(std::vector<std::vector<std::uint8_t>> scans) : scans_(std::move(scans)) {}
+
+    std::uint64_t execute(rt::TaskContext& ctx) override {
+        if (next_ < scans_.size()) ctx.send_debug(scans_[next_++]);
+        return 1000;
+    }
+
+private:
+    std::vector<std::vector<std::uint8_t>> scans_;
+    std::size_t next_ = 0;
+};
+
+struct RecordingSink final : gl::CommandSink {
+    std::vector<std::pair<gl::Command, rt::SimTime>> got;
+    void deliver(const gl::Command& cmd, rt::SimTime at) override { got.emplace_back(cmd, at); }
+};
+
+std::vector<std::uint8_t> wire_of(std::initializer_list<gl::Command> cmds) {
+    std::vector<std::uint8_t> wire;
+    for (const gl::Command& c : cmds) gl::append_frame(wire, gl::encode_command(c));
+    return wire;
+}
+
+// One node scanning every 10 ms (first release at 10 ms), its UART decoded
+// by an ActiveUartTransport into a recording sink.
+struct UartRig {
+    rt::Target target;
+    gl::ActiveUartTransport uart{target};
+    RecordingSink sink;
+
+    explicit UartRig(std::vector<std::vector<std::uint8_t>> scans) {
+        rt::TaskConfig cfg;
+        cfg.name = "wire";
+        cfg.period = 10 * rt::kMs;
+        target.add_node().add_task(std::move(cfg), std::make_unique<WireBody>(std::move(scans)));
+        uart.open(sink);
+        target.start();
+    }
+};
+
+TEST(ActiveUart, CountsAndDeliversInOrderWithTheBatchTime) {
+    const gl::Command c1{gl::Cmd::TaskStart, 3, 0, 0.0f}, c2{gl::Cmd::StateEnter, 5, 0x7E, 0.0f},
+        c3{gl::Cmd::SignalUpdate, 0x7D, 0, 63.5f}, c4{gl::Cmd::TaskEnd, 3, 0, 0.0f};
+    UartRig rig({wire_of({c1, c2, c3}), wire_of({c4})});
+    rig.target.run_for(25 * rt::kMs);
+
+    ASSERT_EQ(rig.sink.got.size(), 4u);
+    EXPECT_EQ(rig.sink.got[0].first, c1);
+    EXPECT_EQ(rig.sink.got[1].first, c2);
+    EXPECT_EQ(rig.sink.got[2].first, c3);
+    EXPECT_EQ(rig.sink.got[3].first, c4);
+    // One scan's batch arrives at once, after its wire time.
+    EXPECT_GT(rig.sink.got[0].second, 10 * rt::kMs);
+    EXPECT_EQ(rig.sink.got[1].second, rig.sink.got[0].second);
+    EXPECT_EQ(rig.sink.got[2].second, rig.sink.got[0].second);
+    EXPECT_GT(rig.sink.got[3].second, 20 * rt::kMs);
+    auto s = rig.uart.stats();
+    EXPECT_EQ(s.commands, 4u);
+    EXPECT_EQ(s.corrupt_frames, 0u);
+    EXPECT_EQ(s.junk_bytes, 0u);
+
+    rig.uart.poll(rig.sink, 30 * rt::kMs); // push-only: nothing pending
+    EXPECT_EQ(rig.sink.got.size(), 4u);
+}
+
+TEST(ActiveUart, RestoreStatsResetsTheDecoderMidFrame) {
+    const gl::Command torn{gl::Cmd::Hello, 1, 2, 0.0f}, next{gl::Cmd::TaskStart, 9, 0, 0.0f};
+    auto half = wire_of({torn});
+    half.resize(half.size() / 2); // the scan's batch ends inside a frame
+
+    UartRig plain({half, wire_of({next})});
+    plain.target.run_for(25 * rt::kMs);
+    ASSERT_EQ(plain.sink.got.size(), 1u);
+    EXPECT_EQ(plain.sink.got[0].first, next);
+    EXPECT_EQ(plain.uart.stats().corrupt_frames, 1u); // the torn frame
+
+    UartRig restored({half, wire_of({next})});
+    restored.target.run_for(15 * rt::kMs);
+    EXPECT_TRUE(restored.sink.got.empty());
+    gl::TransportStats snap;
+    snap.commands = 7;
+    restored.uart.restore_stats(snap);
+    restored.target.run_for(10 * rt::kMs);
+    ASSERT_EQ(restored.sink.got.size(), 1u);
+    EXPECT_EQ(restored.sink.got[0].first, next);
+    auto s = restored.uart.stats();
+    EXPECT_EQ(s.commands, 8u);
+    EXPECT_EQ(s.corrupt_frames, 0u); // the torn bytes were discarded, not closed
+    EXPECT_EQ(s.junk_bytes, 0u);
+}
+
+TEST(ActiveUart, CrcValidFrameWithBadKindIsDroppedUncounted) {
+    auto bad = gl::encode_command({gl::Cmd::Hello, 1, 2, 0.0f});
+    bad[0] = 0xEE; // no such command kind
+    std::vector<std::uint8_t> wire;
+    gl::append_frame(wire, bad);
+    const gl::Command good{gl::Cmd::TaskEnd, 4, 0, 0.0f};
+    gl::append_frame(wire, gl::encode_command(good));
+    UartRig rig({wire});
+    rig.target.run_for(15 * rt::kMs);
+
+    ASSERT_EQ(rig.sink.got.size(), 1u);
+    EXPECT_EQ(rig.sink.got[0].first, good);
+    auto s = rig.uart.stats();
+    EXPECT_EQ(s.commands, 1u);
+    EXPECT_EQ(s.corrupt_frames, 0u);
 }
 
 TEST(Observer, AllObserversSeeTheSameStreamInOrder) {
