@@ -27,25 +27,10 @@ void ProgramBody::reset() {
     first_scan_ = true;
 }
 
-void ProgramBody::save_state(std::vector<double>& out) const {
-    program_.save_state(out);
-    out.push_back(static_cast<double>(last_out_.size()));
-    out.insert(out.end(), last_out_.begin(), last_out_.end());
-    out.push_back(first_scan_ ? 1.0 : 0.0);
-}
-
-std::size_t ProgramBody::load_state(std::span<const double> in) {
-    std::size_t used = program_.load_state(in);
-    if (in.size() < used + 1) throw std::runtime_error("body state truncated");
-    auto n_out = static_cast<std::size_t>(in[used]);
-    ++used;
-    if (in.size() < used + n_out + 1)
-        throw std::runtime_error("body state truncated");
-    last_out_.assign(in.begin() + static_cast<std::ptrdiff_t>(used),
-                     in.begin() + static_cast<std::ptrdiff_t>(used + n_out));
-    used += n_out;
-    first_scan_ = in[used] != 0.0;
-    return used + 1;
+void ProgramBody::state(rt::StateIo& io) {
+    program_.state(io);
+    io.f64_doubles(last_out_);
+    io.f64_flag(first_scan_);
 }
 
 void ProgramBody::emit(const link::Command& cmd) {

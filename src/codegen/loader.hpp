@@ -60,8 +60,7 @@ public:
 
     void reset() override;
     std::uint64_t execute(rt::TaskContext& ctx) override;
-    void save_state(std::vector<double>& out) const override;
-    std::size_t load_state(std::span<const double> in) override;
+    void state(rt::StateIo& io) override;
 
     // ProgramObserver (called from kernels during execute()):
     void on_state_enter(meta::ObjectId sm, meta::ObjectId state) override;

@@ -21,24 +21,11 @@ void SubProgram::ensure_ready() {
     scatter_.resize(max_out);
 }
 
-void SubProgram::save_state(std::vector<double>& out) const {
+void SubProgram::state(rt::StateIo& io) {
     // A program that never ran still has an empty slot array; record the
     // allocated count so restore can tell the two apart.
-    out.push_back(static_cast<double>(slots_.size()));
-    out.insert(out.end(), slots_.begin(), slots_.end());
-    for (const auto& k : kernels) k->save_state(out);
-}
-
-std::size_t SubProgram::load_state(std::span<const double> in) {
-    if (in.empty()) throw std::runtime_error("program state truncated");
-    auto n_slots_saved = static_cast<std::size_t>(in[0]);
-    if (in.size() < 1 + n_slots_saved)
-        throw std::runtime_error("program state truncated");
-    slots_.assign(in.begin() + 1,
-                  in.begin() + 1 + static_cast<std::ptrdiff_t>(n_slots_saved));
-    std::size_t used = 1 + n_slots_saved;
-    for (const auto& k : kernels) used += k->load_state(in.subspan(used));
-    return used;
+    io.f64_doubles(slots_);
+    for (auto& k : kernels) k->state(io);
 }
 
 std::uint64_t SubProgram::run(std::span<const double> in, std::span<double> out, double dt) {

@@ -58,12 +58,10 @@ public:
     /// One synchronous scan; returns consumed cycles (steps + copy cost).
     std::uint64_t run(std::span<const double> in, std::span<double> out, double dt);
 
-    /// Checkpoint support: slot array + every kernel's internal state,
-    /// appended as doubles (see comdes::FBKernel::save_state).
-    void save_state(std::vector<double>& out) const;
-
-    /// Restores what save_state wrote; returns the values consumed.
-    std::size_t load_state(std::span<const double> in);
+    /// Checkpoint support: the slot array + every kernel's internal state,
+    /// inside the owning body's snapshot block (see
+    /// comdes::FBKernel::state).
+    void state(rt::StateIo& io);
 
 private:
     void ensure_ready();

@@ -184,27 +184,14 @@ public:
         head_ = (head_ + 1) % buf_.size();
     }
 
-    void save_state(std::vector<double>& out) const override {
-        out.push_back(state_);
-        out.push_back(prev_);
-        out.push_back(integ_);
-        out.push_back(initialized_ ? 1.0 : 0.0);
-        out.push_back(static_cast<double>(head_));
-        out.insert(out.end(), buf_.begin(), buf_.end());
-    }
-
-    std::size_t load_state(std::span<const double> in) override {
-        std::size_t need = 5 + buf_.size();
-        if (in.size() < need) throw std::runtime_error("kernel state truncated");
-        state_ = in[0];
-        prev_ = in[1];
-        integ_ = in[2];
-        initialized_ = in[3] != 0.0;
-        head_ = static_cast<std::size_t>(in[4]);
-        if (!buf_.empty()) head_ %= buf_.size();
-        std::copy(in.begin() + 5, in.begin() + static_cast<std::ptrdiff_t>(need),
-                  buf_.begin());
-        return need;
+    void state(rt::StateIo& io) override {
+        io.f64(state_);
+        io.f64(prev_);
+        io.f64(integ_);
+        io.f64_flag(initialized_);
+        io.f64_index(head_, std::max<std::size_t>(1, buf_.size()),
+                     "snapshot delay-line head is out of range");
+        io.f64s(buf_);
     }
 
 private:
@@ -337,22 +324,10 @@ public:
         return 30 + 12 * static_cast<std::uint32_t>(transitions_.size());
     }
 
-    void save_state(std::vector<double>& out) const override {
-        out.push_back(static_cast<double>(current_));
-        out.push_back(entered_ ? 1.0 : 0.0);
-        out.insert(out.end(), held_outputs_.begin(), held_outputs_.end());
-    }
-
-    std::size_t load_state(std::span<const double> in) override {
-        std::size_t need = 2 + n_outputs_;
-        if (in.size() < need) throw std::runtime_error("kernel state truncated");
-        auto idx = static_cast<std::size_t>(in[0]);
-        if (idx >= states_.size()) throw std::runtime_error("SM state out of range");
-        current_ = idx;
-        entered_ = in[1] != 0.0;
-        held_outputs_.assign(in.begin() + 2,
-                             in.begin() + static_cast<std::ptrdiff_t>(need));
-        return need;
+    void state(rt::StateIo& io) override {
+        io.f64_index(current_, states_.size(), "snapshot SM state is out of range");
+        io.f64_flag(entered_);
+        io.f64s(held_outputs_);
     }
 
 private:

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "meta/model.hpp"
+#include "rt/state.hpp"
 
 namespace gmdf::comdes {
 
@@ -92,18 +93,13 @@ public:
     virtual void publish(std::span<double> out) { (void)out; }
     virtual void capture(std::span<const double> in) { (void)in; }
 
-    /// Checkpoint support (gmdf::replay): appends the kernel's mutable
-    /// state as doubles, bit-exact (integers and booleans widen
-    /// losslessly into the double payload). Stateless kernels keep the
-    /// no-op default.
-    virtual void save_state(std::vector<double>& out) const { (void)out; }
-
-    /// Restores what save_state wrote; returns the number of values
-    /// consumed from the front of `in`.
-    virtual std::size_t load_state(std::span<const double> in) {
-        (void)in;
-        return 0;
-    }
+    /// Checkpoint support (gmdf::replay): describes the kernel's mutable
+    /// state inside its task body's snapshot block (rt::StateIo::block) —
+    /// f64 values only, with flags and indices widened through StateIo's
+    /// f64_* helpers, which also check restored indices. One function
+    /// serves capture and restore. Stateless kernels keep the no-op
+    /// default.
+    virtual void state(rt::StateIo& io) { (void)io; }
 };
 
 /// Builds the kernel for a BasicFB model object; throws on unknown kind,

@@ -311,88 +311,49 @@ std::optional<ObjectId> DebuggerEngine::current_state(ObjectId sm) const {
     return ObjectId{it->second};
 }
 
-void DebuggerEngine::save_state(rt::StateWriter& w) const {
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.b(pause_on_next_command_);
-    w.str(step_filter_.actor);
-    w.u64(stats_.commands);
-    w.u64(stats_.reactions);
-    w.u64(stats_.breakpoints_hit);
-    w.u64(stats_.divergences);
-    w.size(current_state_.size());
-    for (auto [sm, state] : current_state_) {
-        w.u64(sm);
-        w.u64(state);
+void DebuggerEngine::state(rt::StateIo& io) {
+    io.enum8(state_, EngineState::Waiting, EngineState::Paused,
+             "snapshot engine state is unknown");
+    io.b(pause_on_next_command_);
+    io.str(step_filter_.actor);
+    io.u64(stats_.commands);
+    io.u64(stats_.reactions);
+    io.u64(stats_.breakpoints_hit);
+    io.u64(stats_.divergences);
+    io.entries(current_state_, 16, [&](std::uint64_t& sm, std::uint64_t& state) {
+        io.u64(sm);
+        io.u64(state);
+    });
+    io.entries(pending_transition_, 12, [&](std::uint64_t& sm, std::uint32_t& tr) {
+        io.u64(sm);
+        io.u32(tr);
+    });
+    io.entries(signal_values_, 16, [&](std::uint64_t& sig, double& value) {
+        io.u64(sig);
+        io.f64(value);
+    });
+    io.same_count(signal_slots_.size(), "snapshot signal slots do not match this engine");
+    io.f64s(signal_slots_);
+    io.same_count(slot_updated_.size(), "snapshot signal slots do not match this engine");
+    for (std::size_t i = 0; i < slot_updated_.size(); ++i) {
+        bool updated = slot_updated_[i];
+        io.b(updated);
+        slot_updated_[i] = updated;
     }
-    w.size(pending_transition_.size());
-    for (auto [sm, tr] : pending_transition_) {
-        w.u64(sm);
-        w.u32(tr);
-    }
-    w.size(signal_values_.size());
-    for (auto [sig, value] : signal_values_) {
-        w.u64(sig);
-        w.f64(value);
-    }
-    w.doubles(signal_slots_);
-    w.size(slot_updated_.size());
-    for (bool updated : slot_updated_) w.b(updated);
-    w.i32(next_break_);
-    w.size(breaks_.size());
-    for (const auto& [handle, bp] : breaks_) {
-        w.i32(handle);
-        w.u8(static_cast<std::uint8_t>(bp.kind));
-        w.u64(bp.element.raw);
-        w.str(bp.predicate);
-        w.b(bp.enabled);
-        w.b(bp.one_shot);
-    }
-}
-
-void DebuggerEngine::load_state(rt::StateReader& r) {
-    state_ = static_cast<EngineState>(r.u8());
-    pause_on_next_command_ = r.b();
-    step_filter_.actor = r.str();
-    stats_.commands = r.u64();
-    stats_.reactions = r.u64();
-    stats_.breakpoints_hit = r.u64();
-    stats_.divergences = r.u64();
-    current_state_.clear();
-    std::size_t n = r.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t sm = r.u64();
-        current_state_[sm] = r.u64();
-    }
-    pending_transition_.clear();
-    n = r.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t sm = r.u64();
-        pending_transition_[sm] = r.u32();
-    }
-    signal_values_.clear();
-    n = r.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t sig = r.u64();
-        signal_values_[sig] = r.f64();
-    }
-    signal_slots_ = r.doubles();
-    n = r.size();
-    slot_updated_.assign(n, false);
-    for (std::size_t i = 0; i < n; ++i) slot_updated_[i] = r.b();
-    breaks_.clear();
-    predicates_.clear();
-    next_break_ = r.i32();
-    n = r.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        int handle = r.i32();
-        Breakpoint bp;
-        bp.kind = static_cast<Breakpoint::Kind>(r.u8());
-        bp.element = ObjectId{r.u64()};
-        bp.predicate = r.str();
-        bp.enabled = r.b();
-        bp.one_shot = r.b();
-        compile_predicate(handle, bp);
-        breaks_.emplace(handle, std::move(bp));
+    io.i32(next_break_);
+    io.entries(breaks_, 23, [&](int& handle, Breakpoint& bp) {
+        io.i32(handle);
+        io.enum8(bp.kind, Breakpoint::Kind::StateEnter, Breakpoint::Kind::SignalPredicate,
+                 "snapshot breakpoint kind is unknown");
+        io.u64(bp.element.raw);
+        io.str(bp.predicate);
+        io.b(bp.enabled);
+        io.b(bp.one_shot);
+    });
+    if (io.loading()) {
+        // Compiled predicates are derived from the breakpoints: rebuild.
+        predicates_.clear();
+        for (const auto& [handle, bp] : breaks_) compile_predicate(handle, bp);
     }
 }
 

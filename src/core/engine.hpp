@@ -111,15 +111,14 @@ public:
     /// already holding the handle.
     void restore_breakpoint(int handle, Breakpoint bp);
 
-    /// Serializes the engine's model-level mirror state: per-SM current
-    /// states, pending transitions, signal values, engine FSM state,
-    /// breakpoints, and the data-plane counters. The control-plane
-    /// counters (requests, events) are host-side bookkeeping and are
-    /// deliberately not part of a snapshot.
-    void save_state(rt::StateWriter& w) const;
-
-    /// Restores what save_state wrote, silently (no observer callbacks).
-    void load_state(rt::StateReader& r);
+    /// The engine's model-level mirror state: per-SM current states,
+    /// pending transitions, signal values, engine FSM state, breakpoints,
+    /// and the data-plane counters. The control-plane counters (requests,
+    /// events) are host-side bookkeeping and are deliberately not part of
+    /// a snapshot. Restore is silent (no observer callbacks) and checks
+    /// the engine state, breakpoint kinds and signal-slot layout against
+    /// this engine.
+    void state(rt::StateIo& io);
 
     /// Most recent value per signal element id (from SIGNAL_UPDATE).
     [[nodiscard]] std::optional<double> signal_value(meta::ObjectId signal) const;

@@ -24,6 +24,12 @@ std::string_view skip_blanks(std::string_view line) {
     return line;
 }
 
+/// Hub-level verbs are exactly the ones the hub's registry names.
+bool registers(const proto::Dispatcher& d, std::string_view verb) {
+    return std::any_of(d.commands().begin(), d.commands().end(),
+                       [&](const proto::CommandSpec& c) { return c.verb == verb; });
+}
+
 std::string entry_line(SessionRegistry::Entry& e, bool is_current) {
     std::string line = std::string(is_current ? "* " : "  ") + std::to_string(e.id) +
                        " " + e.name + " scenario=" + e.scenario->name + " engine=" +
@@ -301,8 +307,7 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
     if (!addressed) entry = registry_.find(ctx.current);
 
     std::string_view verb = first_token(line);
-    if (verb == "session" || verb == "attach" || verb == "acl" ||
-        verb == "campaign" || verb == "metrics") {
+    if (registers(hub_dispatcher_, verb)) {
         // Silently dropping the prefix would make '@cell session close'
         // act on the *current* session — refuse instead.
         if (addressed)
@@ -336,9 +341,7 @@ proto::Response HubController::execute_line(std::string_view line, RouteContext&
         auto parsed = proto::parse_request(line);
         if (parsed.ok()) {
             const auto& args = parsed.request->args;
-            if (args.size() == 1 &&
-                (args[0] == "session" || args[0] == "attach" || args[0] == "acl" ||
-                 args[0] == "campaign" || args[0] == "metrics"))
+            if (args.size() == 1 && registers(hub_dispatcher_, args[0]))
                 return hub_ok(hub_dispatcher_.help_lines(args[0]));
             if (args.empty()) {
                 if (entry == nullptr) return hub_ok(hub_dispatcher_.help_lines());

@@ -1,9 +1,7 @@
 #include "rt/des.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
-#include <tuple>
 
 namespace gmdf::rt {
 
@@ -78,62 +76,66 @@ std::size_t Simulator::pending_one_shot() const {
     return n;
 }
 
-void Simulator::save_state(StateWriter& w) const {
-    w.i64(now_);
-    w.u64(seq_);
-    w.u64(next_id_);
+void Simulator::state(StateIo& io) {
+    io.i64(now_);
+    io.check(now_ >= 0, "snapshot clock is negative");
+    io.u64(seq_);
+    io.u64(next_id_);
     // Canonical order (by id), not heap-layout order: the heap's vector
     // layout is rebuilt on restore, and a snapshot of the restored
     // simulator must be bit-identical to the original.
-    std::vector<const Event*> periodic;
+    struct Periodic {
+        std::uint64_t id = 0;
+        SimTime t = 0;
+        std::uint64_t seq = 0;
+        SimTime period = 0;
+    };
+    std::vector<Periodic> periodic;
     for (const Event& ev : queue_)
-        if (ev.period > 0) periodic.push_back(&ev);
-    std::sort(periodic.begin(), periodic.end(),
-              [](const Event* a, const Event* b) { return a->id < b->id; });
-    w.size(periodic.size());
-    for (const Event* ev : periodic) {
-        w.u64(ev->id);
-        w.i64(ev->t);
-        w.u64(ev->seq);
-        w.i64(ev->period);
+        if (ev.period > 0) periodic.push_back({ev.id, ev.t, ev.seq, ev.period});
+    auto by_id = [](const Periodic& a, const Periodic& b) { return a.id < b.id; };
+    std::sort(periodic.begin(), periodic.end(), by_id);
+    io.items(periodic, 32, [&](Periodic& p) {
+        io.u64(p.id);
+        io.i64(p.t);
+        io.u64(p.seq);
+        io.i64(p.period);
+        io.check(p.period > 0, "snapshot periodic event has a non-positive period");
+        io.check(p.t >= now_, "snapshot event is due before the snapshot clock");
+    });
+    if (io.loading()) {
+        // One-shots are dropped (their owners re-create them); periodic
+        // events registered after the snapshot didn't exist then and are
+        // dropped too; surviving periodic events rewind to their recorded
+        // fire time and sequence number. Every recorded id is matched
+        // before anything moves.
+        io.check(std::adjacent_find(periodic.begin(), periodic.end(),
+                                    [](const Periodic& a, const Periodic& b) {
+                                        return a.id >= b.id;
+                                    }) == periodic.end(),
+                 "snapshot periodic events are not in id order");
+        auto find = [&](std::uint64_t id) {
+            auto it = std::lower_bound(periodic.begin(), periodic.end(), Periodic{id}, by_id);
+            return it != periodic.end() && it->id == id ? &*it : nullptr;
+        };
+        std::size_t live = 0;
+        for (const Event& ev : queue_)
+            if (ev.period > 0 && find(ev.id) != nullptr) ++live;
+        io.check(live == periodic.size(),
+                 "snapshot names a periodic event that no longer exists");
+        std::vector<Event> kept;
+        kept.reserve(queue_.size());
+        for (Event& ev : queue_) {
+            const Periodic* p = ev.period > 0 ? find(ev.id) : nullptr;
+            if (p == nullptr) continue;
+            ev.t = p->t;
+            ev.seq = p->seq;
+            ev.period = p->period;
+            kept.push_back(std::move(ev));
+        }
+        queue_ = std::move(kept);
+        std::make_heap(queue_.begin(), queue_.end(), Later{});
     }
-}
-
-void Simulator::load_state(StateReader& r) {
-    now_ = r.i64();
-    seq_ = r.u64();
-    next_id_ = r.u64();
-    std::map<std::uint64_t, std::tuple<SimTime, std::uint64_t, SimTime>> saved;
-    std::size_t n = r.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t id = r.u64();
-        SimTime t = r.i64();
-        std::uint64_t seq = r.u64();
-        SimTime period = r.i64();
-        saved.emplace(id, std::tuple{t, seq, period});
-    }
-    // One-shots are dropped (their owners re-create them); periodic
-    // events registered after the snapshot didn't exist then and are
-    // dropped too; surviving periodic events rewind to their recorded
-    // fire time and sequence number.
-    std::vector<Event> kept;
-    kept.reserve(queue_.size());
-    for (Event& ev : queue_) {
-        if (ev.period == 0) continue;
-        auto it = saved.find(ev.id);
-        if (it == saved.end()) continue;
-        auto [t, seq, period] = it->second;
-        ev.t = t;
-        ev.seq = seq;
-        ev.period = period;
-        kept.push_back(std::move(ev));
-        saved.erase(it);
-    }
-    if (!saved.empty())
-        throw std::runtime_error(
-            "snapshot names a periodic event that no longer exists");
-    queue_ = std::move(kept);
-    std::make_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 } // namespace gmdf::rt

@@ -76,17 +76,15 @@ public:
     /// records.
     [[nodiscard]] std::size_t pending_one_shot() const;
 
-    /// Serializes time, counters, and the pending periodic events.
-    /// One-shot events are deliberately not serialized — closures cannot
-    /// be; their owners snapshot the data to re-create them.
-    void save_state(StateWriter& w) const;
-
-    /// In-place restore onto the same simulator instance: rewinds time
-    /// and counters, drops every one-shot event, and re-times the live
-    /// periodic events by id. Throws std::runtime_error when the snapshot
-    /// names a periodic event that no longer exists (its closure is gone,
-    /// so the state cannot be reached).
-    void load_state(StateReader& r);
+    /// Time, counters, and the pending periodic events (by id). One-shot
+    /// events are deliberately not part of it — closures cannot be; their
+    /// owners snapshot the data to re-create them. Restore is in place:
+    /// it rewinds time and counters, drops every one-shot event, and
+    /// re-times the live periodic events by id. It throws
+    /// std::runtime_error when the snapshot names a periodic event that
+    /// no longer exists (its closure is gone, so the state cannot be
+    /// reached), and leaves the queue untouched when it does.
+    void state(StateIo& io);
 
 private:
     struct Event {
@@ -109,7 +107,7 @@ private:
     std::uint64_t seq_ = 0;
     std::uint64_t next_id_ = 1;
     /// Min-heap (std::push_heap/pop_heap with Later) — a plain vector so
-    /// save/load can iterate and rebuild it.
+    /// state() can iterate and rebuild it.
     std::vector<Event> queue_;
 };
 

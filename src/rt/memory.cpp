@@ -43,16 +43,9 @@ void MemoryMap::write_u32(std::uint32_t addr, std::uint32_t value) {
     words_[index_of(addr)] = value;
 }
 
-void MemoryMap::save_state(StateWriter& w) const {
-    w.size(words_.size());
-    for (std::uint32_t word : words_) w.u32(word);
-}
-
-void MemoryMap::load_state(StateReader& r) {
-    std::size_t n = r.size();
-    if (n != words_.size())
-        throw std::runtime_error("memory snapshot does not match this map's layout");
-    for (std::uint32_t& word : words_) word = r.u32();
+void MemoryMap::state(StateIo& io) {
+    io.same_count(words_.size(), "memory snapshot does not match this map's layout");
+    for (std::uint32_t& word : words_) io.u32(word);
 }
 
 } // namespace gmdf::rt

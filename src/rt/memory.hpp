@@ -51,13 +51,11 @@ public:
         return symbols_;
     }
 
-    /// Serializes the RAM image (words only — the symbol table is fixed
-    /// at load time and shared by every snapshot of the same system).
-    void save_state(StateWriter& w) const;
-
-    /// Restores the RAM image; throws std::runtime_error when the
-    /// snapshot's word count differs from this map's layout.
-    void load_state(StateReader& r);
+    /// The RAM image (words only — the symbol table is fixed at load
+    /// time and shared by every snapshot of the same system). Restore
+    /// throws std::runtime_error when the snapshot's word count differs
+    /// from this map's layout.
+    void state(StateIo& io);
 
 private:
     [[nodiscard]] std::size_t index_of(std::uint32_t addr) const;

@@ -211,80 +211,41 @@ void Node::latch_outputs(Task& task, SimTime release, const std::vector<double>&
         publish_signal(task.cfg.output_signals[i], out[i]);
 }
 
-void Node::save_state(StateWriter& w) const {
-    memory_.save_state(w);
-    w.doubles(local_signals_);
-    w.b(cpu_busy_);
-    w.u64(job_seq_);
-    w.u64(app_cycles_);
-    w.u64(instr_cycles_);
-    w.u64(busy_ns_);
-    w.i64(uart_busy_until_);
-    w.size(ready_.size());
-    for (const ReadyJob& j : ready_) {
-        w.size(j.task->index);
-        w.i64(j.release);
-        w.u64(j.seq);
-    }
-    w.size(tasks_.size());
-    for (const auto& t : tasks_) {
-        w.doubles(t->in_latch);
-        w.b(t->job_pending);
-        const TaskStats& s = t->stats;
-        w.u64(s.releases);
-        w.u64(s.completions);
-        w.u64(s.overruns);
-        w.u64(s.deadline_misses);
-        w.u64(s.suppressed);
-        w.i64(s.worst_response);
-        w.size(s.output_offsets.size());
-        for (SimTime o : s.output_offsets) w.i64(o);
-        std::vector<double> body;
-        t->body->save_state(body);
-        w.doubles(body);
-    }
-}
-
-void Node::load_state(StateReader& r) {
-    memory_.load_state(r);
-    local_signals_ = r.doubles();
-    cpu_busy_ = r.b();
-    job_seq_ = r.u64();
-    app_cycles_ = r.u64();
-    instr_cycles_ = r.u64();
-    busy_ns_ = r.u64();
-    uart_busy_until_ = r.i64();
-    ready_.clear();
-    std::size_t n_ready = r.size();
-    for (std::size_t i = 0; i < n_ready; ++i) {
-        std::size_t task_index = r.size();
-        SimTime release = r.i64();
-        std::uint64_t seq = r.u64();
-        if (task_index >= tasks_.size())
-            throw std::runtime_error("snapshot ready-queue names an unknown task");
-        ready_.push_back({tasks_[task_index].get(), release, seq});
-    }
-    std::size_t n_tasks = r.size();
-    if (n_tasks != tasks_.size())
-        throw std::runtime_error("snapshot task count does not match this node");
+void Node::state(StateIo& io) {
+    memory_.state(io);
+    io.same_count(local_signals_.size(), "snapshot signal replica does not match this node");
+    io.f64s(local_signals_);
+    io.b(cpu_busy_);
+    io.u64(job_seq_);
+    io.u64(app_cycles_);
+    io.u64(instr_cycles_);
+    io.u64(busy_ns_);
+    io.i64(uart_busy_until_);
+    const SimTime now = target_->sim_.now();
+    io.items(ready_, 24, [&](ReadyJob& j) {
+        std::size_t task = j.task != nullptr ? j.task->index : 0;
+        io.u64(task);
+        io.index(task, tasks_.size(), "snapshot ready-queue names an unknown task");
+        j.task = tasks_[task].get();
+        io.i64(j.release);
+        io.u64(j.seq);
+        io.check(j.release >= 0 && j.release <= now,
+                 "snapshot job was released outside the snapshot clock");
+    });
+    io.same_count(tasks_.size(), "snapshot task count does not match this node");
     for (auto& t : tasks_) {
-        t->in_latch = r.doubles();
-        t->job_pending = r.b();
+        io.same_count(t->in_latch.size(), "snapshot input latch does not match its task");
+        io.f64s(t->in_latch);
+        io.b(t->job_pending);
         TaskStats& s = t->stats;
-        s.releases = r.u64();
-        s.completions = r.u64();
-        s.overruns = r.u64();
-        s.deadline_misses = r.u64();
-        s.suppressed = r.u64();
-        s.worst_response = r.i64();
-        std::size_t n_off = r.size();
-        s.output_offsets.clear();
-        s.output_offsets.reserve(n_off);
-        for (std::size_t i = 0; i < n_off; ++i) s.output_offsets.push_back(r.i64());
-        std::vector<double> body = r.doubles();
-        std::size_t used = t->body->load_state(body);
-        if (used != body.size())
-            throw std::runtime_error("task body consumed a different state size");
+        io.u64(s.releases);
+        io.u64(s.completions);
+        io.u64(s.overruns);
+        io.u64(s.deadline_misses);
+        io.u64(s.suppressed);
+        io.i64(s.worst_response);
+        io.items(s.output_offsets, 8, [&](SimTime& o) { io.i64(o); });
+        io.block([&] { t->body->state(io); });
     }
 }
 
@@ -326,77 +287,70 @@ std::uint64_t Target::total_instr_cycles() const {
     return total;
 }
 
-void Target::save_state(StateWriter& w) const {
-    if (!started_)
-        throw std::runtime_error("cannot snapshot a target before start()");
-    if (sim_.pending_one_shot() != ops_.size())
-        throw std::runtime_error(
-            "one-shot simulator events pending outside the op registry "
-            "(raw closures cannot be restored)");
-    sim_.save_state(w);
-    w.b(paused_);
-    w.b(single_step_);
-    w.str(step_filter_);
-    w.u64(next_op_);
-    w.size(ops_.size());
-    for (const auto& [id, rec] : ops_) {
-        w.u64(id);
-        w.i64(rec.t);
-        w.u64(rec.seq);
-        const PendingOp& op = rec.op;
-        w.u8(static_cast<std::uint8_t>(op.kind));
-        w.i32(op.node);
-        w.size(op.task);
-        w.i64(op.release);
-        w.i32(op.sig);
-        w.f64(op.value);
-        w.doubles(op.out);
-        w.size(op.pokes.size());
-        for (auto [addr, value] : op.pokes) {
-            w.u32(addr);
-            w.u32(value);
+void Target::state(StateIo& io) {
+    io.check(started_, "cannot snapshot a target before start()");
+    sim_.state(io);
+    io.b(paused_);
+    io.b(single_step_);
+    io.str(step_filter_);
+    io.u64(next_op_);
+    const SimTime now = sim_.now();
+    // id, t, seq, kind, node, task, release, sig, value + three counts
+    constexpr std::size_t kOpMinBytes = 81;
+    io.entries(ops_, kOpMinBytes, [&](std::uint64_t& id, PendingOpRec& rec) {
+        io.u64(id);
+        io.i64(rec.t);
+        io.u64(rec.seq);
+        PendingOp& op = rec.op;
+        io.enum8(op.kind, PendingOp::Kind::JobComplete, PendingOp::Kind::PublishSignal,
+                 "snapshot op kind is unknown");
+        io.i32(op.node);
+        io.u64(op.task);
+        io.i64(op.release);
+        io.i32(op.sig);
+        io.f64(op.value);
+        io.doubles(op.out);
+        io.items(op.pokes, 8, [&](std::pair<std::uint32_t, std::uint32_t>& p) {
+            io.u32(p.first);
+            io.u32(p.second);
+        });
+        io.bytes(op.bytes);
+        io.check(rec.t >= now, "snapshot event is due before the snapshot clock");
+        io.index(op.node, nodes_.size(), "snapshot op names an unknown node");
+        switch (op.kind) {
+        case PendingOp::Kind::JobComplete:
+        case PendingOp::Kind::OutputLatch: {
+            const Node& n = *nodes_[static_cast<std::size_t>(op.node)];
+            io.index(op.task, n.tasks_.size(), "snapshot op names an unknown task");
+            io.check(op.out.size() == n.tasks_[op.task]->cfg.output_signals.size(),
+                     "snapshot op outputs do not match its task");
+            io.check(op.release >= 0 && op.release <= now,
+                     "snapshot job was released outside the snapshot clock");
+            break;
         }
-        w.bytes(op.bytes);
-    }
-    w.size(nodes_.size());
-    for (const auto& n : nodes_) n->save_state(w);
-}
-
-void Target::load_state(StateReader& r) {
-    sim_.load_state(r);
-    paused_ = r.b();
-    single_step_ = r.b();
-    step_filter_ = r.str();
-    next_op_ = r.u64();
-    ops_.clear();
-    std::size_t n_ops = r.size();
-    for (std::size_t i = 0; i < n_ops; ++i) {
-        std::uint64_t id = r.u64();
-        SimTime t = r.i64();
-        std::uint64_t seq = r.u64();
-        PendingOp op;
-        op.kind = static_cast<PendingOp::Kind>(r.u8());
-        op.node = r.i32();
-        op.task = r.size();
-        op.release = r.i64();
-        op.sig = r.i32();
-        op.value = r.f64();
-        op.out = r.doubles();
-        std::size_t n_pokes = r.size();
-        op.pokes.clear();
-        op.pokes.reserve(n_pokes);
-        for (std::size_t p = 0; p < n_pokes; ++p) {
-            std::uint32_t addr = r.u32();
-            std::uint32_t value = r.u32();
-            op.pokes.emplace_back(addr, value);
+        case PendingOp::Kind::NetDeliver:
+        case PendingOp::Kind::PublishSignal:
+            io.index(op.sig, signals_.size(), "snapshot op names an unknown signal");
+            break;
+        case PendingOp::Kind::DebugDeliver:
+            break;
         }
-        op.bytes = r.bytes();
-        schedule_op_restored(t, seq, id, std::move(op));
+    });
+    if (io.loading()) {
+        // The simulator dropped every one-shot; re-create the registry's
+        // with their original sequence numbers, so same-time ties break
+        // exactly as in the recorded run.
+        for (const auto& entry : ops_) {
+            std::uint64_t id = entry.first;
+            sim_.schedule_restored(entry.second.t, entry.second.seq,
+                                   [this, id] { run_op(id); });
+        }
     }
-    std::size_t n_nodes = r.size();
-    if (n_nodes != nodes_.size())
-        throw std::runtime_error("snapshot node count does not match this target");
-    for (auto& n : nodes_) n->load_state(r);
+    io.same_count(nodes_.size(), "snapshot node count does not match this target");
+    for (auto& n : nodes_) n->state(io);
+    io.check(sim_.pending_one_shot() == ops_.size(),
+             "one-shot simulator events pending outside the op registry "
+             "(raw closures cannot be restored)");
 }
 
 void Target::broadcast(int from_node, int sig_index, double value) {
@@ -433,12 +387,6 @@ void Target::schedule_op(SimTime t, PendingOp op) {
     std::uint64_t id = next_op_++;
     Simulator::ScheduledEvent ev = sim_.at(t, [this, id] { run_op(id); });
     ops_.emplace(id, PendingOpRec{std::move(op), t, ev.seq});
-}
-
-void Target::schedule_op_restored(SimTime t, std::uint64_t seq, std::uint64_t id,
-                                  PendingOp op) {
-    sim_.schedule_restored(t, seq, [this, id] { run_op(id); });
-    ops_.emplace(id, PendingOpRec{std::move(op), t, seq});
 }
 
 void Target::run_op(std::uint64_t id) {

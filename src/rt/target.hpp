@@ -106,17 +106,12 @@ public:
     /// separately through the context).
     virtual std::uint64_t execute(TaskContext& ctx) = 0;
 
-    /// Checkpoint support: appends the body's mutable state as doubles
-    /// (bit-exact; integers and booleans widen losslessly). Stateless
-    /// bodies keep the no-op default.
-    virtual void save_state(std::vector<double>& out) const { (void)out; }
-
-    /// Restores what save_state wrote; returns the number of values
-    /// consumed from the front of `in`.
-    virtual std::size_t load_state(std::span<const double> in) {
-        (void)in;
-        return 0;
-    }
+    /// Checkpoint support: describes the body's mutable state inside its
+    /// snapshot block (StateIo::block) — f64 values only, with flags,
+    /// indices and counts widened through StateIo's f64_* helpers. One
+    /// function serves capture and restore. Stateless bodies keep the
+    /// no-op default.
+    virtual void state(StateIo& io) { (void)io; }
 };
 
 struct TaskConfig {
@@ -213,8 +208,7 @@ private:
     void finish_job(Task& task, SimTime release, std::vector<double> out);
     void latch_outputs(Task& task, SimTime release, const std::vector<double>& out);
     void set_local_signal(int index, double value);
-    void save_state(StateWriter& w) const;
-    void load_state(StateReader& r);
+    void state(StateIo& io);
 
     Target* target_;
     int id_;
@@ -318,15 +312,14 @@ public:
     /// registry and survives checkpoint/restore.
     void schedule_publish(SimTime at, int node, int sig_index, double value);
 
-    /// Serializes the whole platform: simulator, pause/step state, the
+    /// The whole platform: simulator, pause/step state, the
     /// pending-operation registry, and every node (RAM, signal replicas,
-    /// scheduler state, task statistics, task-body state). Throws
+    /// scheduler state, task statistics, task-body state). Capture throws
     /// std::runtime_error when a one-shot simulator event exists outside
-    /// the registry (a raw closure that could not be restored).
-    void save_state(StateWriter& w) const;
-
-    /// In-place restore of a snapshot taken from this same platform.
-    void load_state(StateReader& r);
+    /// the registry (a raw closure that could not be restored). Restore
+    /// is in place, onto the platform the snapshot was taken from, and
+    /// checks every restored op and index against it.
+    void state(StateIo& io);
 
 private:
     friend class Node;
@@ -359,8 +352,6 @@ private:
     };
 
     void schedule_op(SimTime t, PendingOp op);
-    void schedule_op_restored(SimTime t, std::uint64_t seq, std::uint64_t id,
-                              PendingOp op);
     void run_op(std::uint64_t id);
     void dispatch_op(PendingOp op);
 

@@ -5,7 +5,11 @@
 // targets).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <iostream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +40,20 @@ void expect_ok(gp::Scenario& s, const std::string& line) {
     auto resp = exec(s, line);
     EXPECT_TRUE(resp.ok()) << line << " -> " << resp.message;
 }
+
+/// FNV-1a 64: a fixed, dependency-free digest for pinning image bytes.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/// One of each snapshot shape: a single SM, a multi-task cell with
+/// in-flight stimuli, a faulted generated lift, and a generated model.
+const char* const kImageScenarios[] = {"blinker", "turntable", "lift_fault", "gen:7"};
 
 } // namespace
 
@@ -79,6 +97,39 @@ TEST(Snapshot, RestoreRejectsGarbage) {
                  gr::SnapshotError);
 }
 
+// The exact image bytes of each scenario at fixed instants, pinned as
+// size + digest so no codec rewrite can move a byte of the format.
+TEST(Snapshot, PinnedSnapshotBytes) {
+    struct Pin {
+        const char* scenario;
+        const char* setup; ///< one control line run first (breakpoints), or null
+        rt::SimTime at;
+        std::size_t bytes;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"blinker", nullptr, 130 * rt::kMs, 650, 0x7eaa60a5aa7b2088ull},
+        {"blinker", nullptr, 500 * rt::kMs, 776, 0xfb87d4aae5b9fe7dull},
+        {"turntable", nullptr, 130 * rt::kMs, 1522, 0x6593508514187853ull},
+        {"turntable", nullptr, 500 * rt::kMs, 2068, 0x4f99a0c98d4e5a9bull},
+        {"lift_fault", nullptr, 130 * rt::kMs, 1065, 0x54f8317d78350d98ull},
+        {"lift_fault", nullptr, 500 * rt::kMs, 1118, 0x1ed8a22c58e5b9a6ull},
+        {"gen:7", nullptr, 130 * rt::kMs, 2064, 0xd3e8ef4f43269e76ull},
+        {"gen:7", nullptr, 500 * rt::kMs, 5295, 0x8806afd4dcfacb7eull},
+        {"blinker", "break add state on", 500 * rt::kMs, 592, 0xc3464b942e779a86ull},
+        {"turntable", "break add signal drill>0.5", 300 * rt::kMs, 1877, 0x513020c176a46d53ull},
+    };
+    for (const Pin& p : pins) {
+        auto s = gp::make_scenario(p.scenario);
+        ASSERT_NE(s, nullptr) << p.scenario;
+        if (p.setup != nullptr) expect_ok(*s, p.setup);
+        s->target.run_for(p.at);
+        gr::Snapshot snap = gr::capture_snapshot(s->target, *s->session);
+        EXPECT_EQ(snap.size_bytes(), p.bytes) << p.scenario << " @" << p.at;
+        EXPECT_EQ(fnv1a(snap.bytes), p.digest) << p.scenario << " @" << p.at;
+    }
+}
+
 // Raw one-shot closures on the simulator (outside the target's pending
 // op registry) cannot be restored — capture refuses loudly instead of
 // producing a snapshot that would silently drop them.
@@ -89,6 +140,67 @@ TEST(Snapshot, RefusesUnrestorableOneShotEvents) {
     s->target.sim().after(5 * rt::kMs, [] {});
     EXPECT_THROW((void)gr::capture_snapshot(s->target, *s->session),
                  gr::SnapshotError);
+}
+
+// Seeded, budgeted mutation fuzz over snapshot images, in the idiom of
+// expr_vm_test's differential fuzz. Each mutant (1-4 bit flips, a 0x00 or
+// 0xFF byte run, or a truncation of a 130 ms capture) is restored and run
+// for 50 ms: it must either be accepted and run, or fail with a
+// std::exception. A crash or a sanitizer report fails the suite.
+TEST(SnapshotFuzz, MutatedImagesRestoreOrFailTyped) {
+    std::mt19937 rng(20261020);
+    auto pick = [&](std::size_t n) {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    constexpr int kMutantsPerScenario = 2000;
+    int accepted = 0;
+    int rejected = 0;
+    for (const char* name : kImageScenarios) {
+        auto s = gp::make_scenario(name);
+        ASSERT_NE(s, nullptr) << name;
+        s->target.run_for(130 * rt::kMs);
+        const gr::Snapshot good = gr::capture_snapshot(s->target, *s->session);
+        for (int i = 0; i < kMutantsPerScenario; ++i) {
+            gr::Snapshot bad = good;
+            std::vector<std::uint8_t>& b = bad.bytes;
+            switch (pick(3)) {
+            case 0:
+                for (std::size_t f = 0, n = 1 + pick(4); f < n; ++f)
+                    b[pick(b.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+                break;
+            case 1: {
+                std::size_t at = pick(b.size());
+                std::size_t len = std::min(1 + pick(8), b.size() - at);
+                std::fill_n(b.begin() + static_cast<std::ptrdiff_t>(at), len,
+                            pick(2) == 0 ? 0x00 : 0xFF);
+                break;
+            }
+            default:
+                b.resize(pick(b.size()));
+                break;
+            }
+            try {
+                gr::restore_snapshot(bad, s->target, *s->session);
+                s->target.run_for(50 * rt::kMs);
+                ++accepted;
+            } catch (const std::exception&) {
+                ++rejected;
+            }
+            // Back to the known-good image; a mutant that left the
+            // platform unrestorable gets a fresh scenario instead.
+            try {
+                gr::restore_snapshot(good, s->target, *s->session);
+            } catch (const gr::SnapshotError&) {
+                s = gp::make_scenario(name);
+                s->target.run_for(130 * rt::kMs);
+            }
+        }
+    }
+    std::cout << "snapshot mutants: " << accepted << " accepted, " << rejected
+              << " rejected\n";
+    EXPECT_EQ(accepted + rejected, 4 * kMutantsPerScenario);
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(accepted, 0);
 }
 
 // ---- checkpoint ring --------------------------------------------------------
